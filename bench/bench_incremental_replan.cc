@@ -1,25 +1,27 @@
 // Incremental replanning: per-epoch planning cost with and without a
 // shared core::PlanningWorkspace on the Figure-3 deployment (n=100,
 // k=10, geometric network). Each query epoch slides the sample window by
-// one fresh reading and replans; the cold mode rebuilds every LP from
-// scratch (the seed behavior), the workspace modes delta-patch the cached
-// model and hot-start the simplex from the retained tableau.
+// one fresh reading and replans.
 //
-// Three modes per planner:
-//   * cold     — no workspace; every epoch pays the full build + solve.
-//   * checked  — workspace with the default cross-check: warm solves are
-//     verified against a cold re-solve and the cold solution is returned,
-//     so plans are bit-identical to the cold mode (the process aborts if
-//     any epoch's plan differs). This mode still skips model rebuilds.
-//   * trust    — cross-check off: the steady-state fast path. Objectives
-//     match cold; a degenerate LP may round to an equally good twin plan.
+// Two modes per planner:
+//   * cold       — no workspace; every epoch computes the topology lists
+//     and packs the hit matrix from scratch.
+//   * workspace  — a shared workspace serves the per-epoch topology caches
+//     and the clone-on-write hit matrix. LP models are never cached: the
+//     LP planners build the same model and run the same single cold solve
+//     in both modes.
 //
-// Expected shape: steady-state (epochs after the first) replan cost in
-// the workspace modes sits below the cold per-epoch cost, with trust <
-// checked < cold for the LP planners.
+// Gates (the process fails on either):
+//   * every epoch's plan is bit-identical across the two modes (abort);
+//   * every epoch's LP solve statistics (pivots, rows, columns) are equal
+//     across the two modes (exit status 1). Both modes solve the same LP,
+//     so the workspace can never cost more LP work than cold planning —
+//     the deterministic form of "workspace steady <= cold steady", which a
+//     wall-clock comparison of two equal workloads could not gate.
 //
 // Emits BENCH_incremental_replan.json in the current working directory.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -41,9 +43,8 @@ namespace prospector {
 namespace {
 
 constexpr int kNodes = 100;
-// The proof LP grows as #samples x #nodes x tree height and is
-// dense-tableau bound, so — like the Figure-8 bench — the proof planner
-// runs on a smaller deployment.
+// The proof LP grows as #samples x #nodes x tree height, so — like the
+// Figure-8 bench — the proof planner runs on a smaller deployment.
 constexpr int kProofNodes = 50;
 constexpr int kTop = 10;
 constexpr int kWindow = 16;        // sliding sample window
@@ -69,7 +70,13 @@ bool SamePlan(const core::QueryPlan& a, const core::QueryPlan& b) {
          a.chosen == b.chosen;
 }
 
-/// The reading sequence every mode replays, so all modes plan against an
+bool SameLpWork(const lp::SolveStats& a, const lp::SolveStats& b) {
+  return a.phase1_iterations == b.phase1_iterations &&
+         a.phase2_iterations == b.phase2_iterations && a.rows == b.rows &&
+         a.columns == b.columns;
+}
+
+/// The reading sequence both modes replay, so they plan against an
 /// identical sample history.
 struct Stream {
   std::vector<std::vector<double>> initial;             // fills the window
@@ -78,9 +85,9 @@ struct Stream {
 
 struct ModeResult {
   std::vector<core::QueryPlan> plans;  // one per epoch
-  double first_ms = 0.0;   // epoch 0: the cold build even with a workspace
+  std::vector<lp::SolveStats> lp;      // one per epoch
+  double first_ms = 0.0;   // epoch 0: every cache is cold in both modes
   double steady_ms = 0.0;  // median over the remaining epochs
-  core::WorkspaceCounters counters;
 };
 
 ModeResult RunMode(int which, const Stream& stream, const net::Topology& topo,
@@ -118,16 +125,16 @@ ModeResult RunMode(int which, const Stream& stream, const net::Topology& topo,
       steady.push_back(ms);
     }
     out.plans.push_back(std::move(*plan));
+    out.lp.push_back(planner->last_stats().lp);
   }
   // Median, not mean: a single-core box under sporadic scheduler steal
-  // produces multi-x outliers that would swamp the cold/hot comparison.
+  // produces multi-x outliers.
   if (steady.empty()) {
     out.steady_ms = out.first_ms;
   } else {
     std::sort(steady.begin(), steady.end());
     out.steady_ms = steady[steady.size() / 2];
   }
-  if (workspace != nullptr) out.counters = workspace->counters();
   return out;
 }
 
@@ -153,7 +160,9 @@ Deployment MakeDeployment(int num_nodes, double radio_range, int epochs,
   return d;
 }
 
-void Run() {
+/// Returns the number of (planner, epoch) pairs whose LP work differed
+/// between the two modes.
+int Run() {
   const int epochs = bench::QueryEpochs(30);
   Rng rng(20060403);
   const Deployment fig3 = MakeDeployment(kNodes, 22.0, epochs, &rng);
@@ -183,70 +192,56 @@ void Run() {
 
   bench::TableHeader(&json, "steady-state replan cost (ms per plan)",
                      {"planner", "cold_first_ms", "cold_steady_ms",
-                      "checked_steady_ms", "trust_steady_ms", "trust_speedup"});
+                      "workspace_steady_ms", "lp_pivots_per_plan"});
 
-  struct CounterRow {
-    int which;
-    core::WorkspaceCounters c;
-  };
-  std::vector<CounterRow> counter_rows;
-
+  int lp_mismatches = 0;
   for (int which = 0; which < 4; ++which) {
     const Deployment& dep = which == 3 ? proof_net : fig3;
     const net::Topology& topo = dep.topology;
     const Stream& stream = dep.stream;
     const double budget = which == 3 ? proof_budget : kBudgetMj;
     const ModeResult cold = RunMode(which, stream, topo, budget, nullptr);
+    core::PlanningWorkspace ws;
+    const ModeResult cached = RunMode(which, stream, topo, budget, &ws);
 
-    core::WorkspaceOptions checked_opts;  // cross_check defaults to true
-    core::PlanningWorkspace checked_ws(checked_opts);
-    const ModeResult checked = RunMode(which, stream, topo, budget, &checked_ws);
-
-    core::WorkspaceOptions trust_opts;
-    trust_opts.cross_check = false;
-    core::PlanningWorkspace trust_ws(trust_opts);
-    const ModeResult trust = RunMode(which, stream, topo, budget, &trust_ws);
-
-    // The checked mode's contract: bit-identical plans, every epoch.
+    long long pivots = 0;
     for (size_t e = 0; e < cold.plans.size(); ++e) {
-      if (!SamePlan(cold.plans[e], checked.plans[e])) {
+      if (!SamePlan(cold.plans[e], cached.plans[e])) {
         std::fprintf(stderr,
-                     "FATAL: planner %d epoch %zu: checked workspace plan "
-                     "differs from cold plan\n",
+                     "FATAL: planner %d epoch %zu: workspace plan differs "
+                     "from cold plan\n",
                      which, e);
         std::abort();
       }
+      if (!SameLpWork(cold.lp[e], cached.lp[e])) {
+        std::fprintf(stderr,
+                     "FAIL: planner %d epoch %zu: workspace LP work "
+                     "(%d pivots, %d rows, %d columns) differs from cold "
+                     "(%d pivots, %d rows, %d columns)\n",
+                     which, e, cached.lp[e].total_iterations(), cached.lp[e].rows,
+                     cached.lp[e].columns, cold.lp[e].total_iterations(),
+                     cold.lp[e].rows, cold.lp[e].columns);
+        ++lp_mismatches;
+      }
+      pivots += cold.lp[e].total_iterations();
     }
 
     std::printf("  [%d] %s\n", which, MakePlanner(which)->name().c_str());
     bench::TableRow(&json,
                     {double(which), cold.first_ms, cold.steady_ms,
-                     checked.steady_ms, trust.steady_ms,
-                     trust.steady_ms > 0.0 ? cold.steady_ms / trust.steady_ms
-                                           : 0.0});
-    counter_rows.push_back({which, trust.counters});
-  }
-
-  bench::TableHeader(&json, "workspace counters (trust mode)",
-                     {"planner", "lp_hits", "lp_misses", "lp_patches",
-                      "warm_attempts", "warm_successes", "topo_hits",
-                      "topo_misses"});
-  for (const CounterRow& r : counter_rows) {
-    bench::TableRow(&json, {double(r.which), double(r.c.lp_hits),
-                            double(r.c.lp_misses), double(r.c.lp_patches),
-                            double(r.c.warm_attempts),
-                            double(r.c.warm_successes), double(r.c.topo_hits),
-                            double(r.c.topo_misses)});
+                     cached.steady_ms,
+                     cold.plans.empty()
+                         ? 0.0
+                         : double(pivots) / double(cold.plans.size())});
   }
 
   json.Write();
-  std::printf("(checked-workspace plans bit-identical to cold plans)\n");
+  std::printf("(workspace plans bit-identical to cold plans; LP work %s)\n",
+              lp_mismatches == 0 ? "identical" : "DIFFERS");
+  return lp_mismatches;
 }
 
 }  // namespace
 }  // namespace prospector
 
-int main() {
-  prospector::Run();
-  return 0;
-}
+int main() { return prospector::Run() == 0 ? 0 : 1; }

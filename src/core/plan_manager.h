@@ -198,10 +198,8 @@ using PlannerFactory = std::function<std::unique_ptr<Planner>()>;
 /// any thread count.
 ///
 /// When a workspace is available (the `workspace` argument, or one already
-/// on `ctx`), each request leases the workspace slot keyed by its request
-/// index — a deterministic assignment, so every sweep sees the same cache
-/// history regardless of thread scheduling, and concurrent requests never
-/// contend for one LP entry.
+/// on `ctx`), every request shares its topology and hit-matrix caches;
+/// those are immutable snapshots, so concurrent requests never contend.
 inline std::vector<Result<QueryPlan>> PlanSweep(
     const PlannerFactory& factory, const PlannerContext& ctx,
     const sampling::SampleSet& samples,
@@ -214,7 +212,6 @@ inline std::vector<Result<QueryPlan>> PlanSweep(
     for (int i = begin; i < end; ++i) {
       PlannerContext local = ctx;
       if (workspace != nullptr) local.workspace = workspace;
-      if (local.workspace != nullptr) local.workspace_lease = i;
       results[i] = factory()->Plan(local, samples, requests[i]);
     }
   };

@@ -27,11 +27,6 @@ struct QueryEngineOptions {
   /// The first epochs always run full sweeps to seed the windows.
   int bootstrap_sweeps = 8;
 
-  /// One PlanningWorkspace shared by every query's replans; each query
-  /// leases its own LP slot (keyed by query id), so caches never collide.
-  bool use_workspace = true;
-  WorkspaceOptions workspace;
-
   /// Scripted fault timeline (engine epoch == event epoch). Empty = none.
   net::FaultSchedule faults;
   /// Transport tier 2: bounded retries with backoff, then genuine drops.
@@ -189,7 +184,6 @@ class QueryEngine {
  private:
   const QueryState& At(int id) const;
   void HydrateNewQuery(QueryState* q);
-  PlannerContext CtxFor(int lease) const;
   TransportGuard* guard() { return guarding_ ? &guard_ : nullptr; }
   /// Drains the simulator's ledger into `radio_totals_` (every phase ends
   /// through here so the cumulative accounting survives ResetStats).

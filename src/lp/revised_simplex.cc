@@ -147,7 +147,7 @@ class EtaFile {
   std::vector<double> nz_vals_;
 };
 
-// Equality-form working state; the sparse counterpart of internal::Tableau.
+// Equality-form working state; the sparse counterpart of the dense Tableau.
 struct Engine {
   const SimplexOptions& opts;
   int m = 0;
@@ -198,8 +198,8 @@ struct Engine {
   }
 
   // Rebuilds the eta file from the current basis columns, re-assigning each
-  // basic column to the unclaimed row where it pivots largest (the dense
-  // warm-restore rule). Returns false when the basis matrix is singular.
+  // basic column to the unclaimed row where it pivots largest. Returns
+  // false when the basis matrix is singular.
   // Work is proportional to the factorization's fill-in, not m^2: slack
   // columns (the bulk of a planner basis) are unit vectors and cost O(1).
   bool Refactor() {
@@ -608,19 +608,6 @@ bool RevisedAttempt(const Model& model, const SimplexOptions& opts,
     sol->reduced_costs[j] = maximize ? -dj : dj;
   }
   sol->primal_residual = internal::ComputePrimalResidual(model, sol->values);
-
-  // Capture the basis for future warm starts — only when no artificial
-  // column stayed basic, since a warm restore has no artificial columns.
-  for (int i = 0; i < m; ++i) {
-    if (eng.basis[i] >= nstruct + m) return true;
-  }
-  sol->basis.num_structural = nstruct;
-  sol->basis.num_rows = m;
-  sol->basis.basic = eng.basis;
-  sol->basis.status.resize(nstruct + m);
-  for (int j = 0; j < nstruct + m; ++j) {
-    sol->basis.status[j] = static_cast<unsigned char>(eng.status[j]);
-  }
   return true;
 }
 

@@ -15,8 +15,7 @@
 // revised solver (revised_simplex.cc). Both implement the same
 // bounded-variable method over the same equality form, so the variable
 // status encoding, the initial resting rule, and the accounting hooks must
-// be one definition — the Basis struct's documented 0/1/2/3 encoding is
-// this enum.
+// be one definition.
 
 namespace prospector {
 namespace lp {
@@ -30,9 +29,9 @@ enum class VarStatus : unsigned char {
 };
 
 /// Initial resting status of a nonbasic column: the finite bound nearest
-/// zero, or free-at-zero when both bounds are infinite. Both solvers (and
-/// ExtendBasis) start appended variables exactly here, which is what keeps
-/// cold, warm, hot, and revised runs comparable.
+/// zero, or free-at-zero when both bounds are infinite. Both solvers start
+/// every column exactly here, which is what keeps the dense and revised
+/// runs comparable.
 inline VarStatus InitialRestStatus(double lo, double up) {
   const bool lo_fin = lo != -kInfinity;
   const bool up_fin = up != kInfinity;

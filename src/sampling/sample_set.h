@@ -24,7 +24,7 @@ using ContributorFn =
 /// What happened to a SampleSet between a remembered version and now
 /// (see SampleSet::DeltaSince). `valid` means the change since the
 /// reference version is a pure append of `added` rows — the only shape an
-/// incremental consumer (cached scans, patched LP blocks) can apply
+/// incremental consumer (e.g. a cached scan) can apply
 /// without re-reading the window. Evictions shift row indices and remaps
 /// rewrite every row, so both report `valid == false`; the counts are
 /// still filled in when the retained history can determine them.

@@ -1,11 +1,10 @@
-// Contract of the incremental planning workspace: threading a
-// PlanningWorkspace through any planner changes how much work planning
-// costs, never what plan comes out. Every planner is swept across
-// sliding sample windows and topology rebuilds in three modes — no
-// workspace (the from-scratch path), workspace in trust mode, workspace
-// with the warm-start cross-check — and all three must agree bit for bit,
-// serially and pooled. Plus the cache-policy units: lease collisions,
-// PlanManager's steady-state short-circuit, and counter surfacing.
+// Contract of the planning workspace: threading a PlanningWorkspace
+// through any planner changes how much work planning costs, never what
+// plan comes out. Every planner is swept across sliding sample windows and
+// topology rebuilds with and without a workspace, and both must agree bit
+// for bit — plans and LP work alike — serially and pooled. Plus the
+// cache-policy units: Clear, PlanManager's steady-state short-circuit,
+// and counter surfacing.
 
 #include <gtest/gtest.h>
 
@@ -93,30 +92,19 @@ double LastLpObjective(Planner* planner, int which) {
   }
 }
 
-// The tentpole acceptance sweep: every planner, across a sliding window
-// and a topology rebuild, plans bit-identically with no workspace and
-// with a default (cross-checking) workspace. A trust-mode workspace
-// (cross_check off) rides along: it must reach the same LP objective,
-// but a degenerate LP may round an alternate optimal vertex into a
-// different plan, so only the objective is compared there.
+// The acceptance sweep: every planner, across a sliding window, a budget
+// drift and a topology rebuild, plans bit-identically with no workspace
+// and with one. The LP planners build and solve the same model either
+// way, so their solve statistics must match too.
 void RunIdentitySweep(int threads) {
   for (int which = 0; which < 4; ++which) {
     Instance inst = MakeInstance(36, 6, 10, 90 + which, /*window=*/10);
 
-    WorkspaceOptions trust;
-    trust.cross_check = false;
-    WorkspaceOptions checked;  // the default: cross-check on
-    PlanningWorkspace ws_trust(trust);
-    PlanningWorkspace ws_checked(checked);
-
+    PlanningWorkspace ws;
     auto bare_planner = MakePlanner(which, threads);
-    auto trust_planner = MakePlanner(which, threads);
-    auto checked_planner = MakePlanner(which, threads);
-
-    PlannerContext trust_ctx = inst.ctx;
-    trust_ctx.workspace = &ws_trust;
-    PlannerContext checked_ctx = inst.ctx;
-    checked_ctx.workspace = &ws_checked;
+    auto ws_planner = MakePlanner(which, threads);
+    PlannerContext ws_ctx = inst.ctx;
+    ws_ctx.workspace = &ws;
 
     // Proof plans need the per-edge floor covered; the others get a mid
     // budget so rounding and repair paths all engage.
@@ -124,39 +112,30 @@ void RunIdentitySweep(int threads) {
         which == 3 ? ProofPlanner::MinimumCost(inst.ctx) * 1.6 : 9.0;
     PlanRequest request{6, budget};
 
-    auto plan_all = [&](const std::string& where) {
+    auto plan_both = [&](const std::string& where) {
       auto a = bare_planner->Plan(inst.ctx, inst.samples, request);
-      auto b = trust_planner->Plan(trust_ctx, inst.samples, request);
-      auto c = checked_planner->Plan(checked_ctx, inst.samples, request);
+      auto b = ws_planner->Plan(ws_ctx, inst.samples, request);
       ASSERT_TRUE(a.ok()) << where << ": " << a.status().ToString();
       ASSERT_TRUE(b.ok()) << where << ": " << b.status().ToString();
-      ASSERT_TRUE(c.ok()) << where << ": " << c.status().ToString();
-      ExpectSamePlan(*a, *c, where + " (cross-check), planner " +
-                                 bare_planner->name());
-      if (which == 0) {
-        // No LP: greedy through a workspace is deterministic outright.
-        ExpectSamePlan(*a, *b, where + " (trust), planner " +
-                                   bare_planner->name());
-      } else {
-        const double cold = LastLpObjective(bare_planner.get(), which);
-        const double warm = LastLpObjective(trust_planner.get(), which);
-        EXPECT_NEAR(warm, cold, 1e-6 * (1.0 + std::abs(cold)))
-            << where << " (trust), planner " << bare_planner->name();
-      }
+      const std::string label = where + ", planner " + bare_planner->name();
+      ExpectSamePlan(*a, *b, label);
+      const lp::SolveStats& sa = bare_planner->last_stats().lp;
+      const lp::SolveStats& sb = ws_planner->last_stats().lp;
+      EXPECT_EQ(sa.total_iterations(), sb.total_iterations()) << label;
+      EXPECT_EQ(sa.rows, sb.rows) << label;
+      EXPECT_EQ(sa.columns, sb.columns) << label;
     };
 
-    plan_all("cold");
-    // Slide the window: three appends (evicting three rows) per step, so
-    // cached LPs tombstone old blocks and append fresh ones.
+    plan_both("cold");
+    // Slide the window: three appends (evicting three rows) per step.
     for (int step = 0; step < 3; ++step) {
       for (int add = 0; add < 3; ++add) {
         inst.samples.Add(inst.field.Sample(&inst.rng));
       }
-      plan_all("slide step " + std::to_string(step));
+      plan_both("slide step " + std::to_string(step));
     }
-    // Budget drift patches the RHS without rebuilding.
     request.energy_budget_mj *= 1.25;
-    plan_all("budget drift");
+    plan_both("budget drift");
 
     // Topology rebuild: a fresh epoch must invalidate every cache.
     Rng rng2(1234 + which);
@@ -169,19 +148,15 @@ void RunIdentitySweep(int threads) {
     inst.topology = std::move(rebuilt);
     request.energy_budget_mj =
         which == 3 ? ProofPlanner::MinimumCost(inst.ctx) * 1.6 : 9.0;
-    plan_all("after rebuild");
-    plan_all("steady state on rebuilt tree");
+    plan_both("after rebuild");
+    plan_both("steady state on rebuilt tree");
 
-    // The workspaces must actually have been exercised, not bypassed.
-    const WorkspaceCounters t = ws_trust.counters();
-    EXPECT_GT(t.topo_hits + t.topo_misses, 0)
-        << bare_planner->name() << " never touched the topology caches";
-    if (which != 0) {  // greedy has no LP
-      EXPECT_GT(t.lp_misses, 0) << bare_planner->name();
-      EXPECT_GT(t.lp_hits, 0)
-          << bare_planner->name() << " never reused a cached LP";
-      EXPECT_GT(t.lp_patches, 0) << bare_planner->name();
-    }
+    // The workspace must actually have been exercised, not bypassed.
+    const WorkspaceCounters c = ws.counters();
+    EXPECT_GT(c.topo_misses, 0)
+        << bare_planner->name() << " never filled the topology caches";
+    EXPECT_GT(c.topo_hits, 0)
+        << bare_planner->name() << " never reused the topology caches";
   }
 }
 
@@ -249,8 +224,8 @@ TEST(WorkspaceIdentityTest, PlanSweepIdenticalWithWorkspace) {
   const auto bare = PlanSweep(factory, inst.ctx, inst.samples, requests);
   PlanningWorkspace ws;
   util::ThreadPool pool(4);
-  // Two sweeps through one workspace: the second hits the per-request
-  // cached LPs (lease key = request index), pooled on top.
+  // Two pooled sweeps through one workspace: concurrent requests share the
+  // topology caches, and the second sweep finds them warm.
   for (int round = 0; round < 2; ++round) {
     const auto cached = PlanSweep(factory, inst.ctx, inst.samples, requests,
                                   &pool, &ws);
@@ -261,45 +236,26 @@ TEST(WorkspaceIdentityTest, PlanSweepIdenticalWithWorkspace) {
                          std::to_string(round));
     }
   }
-  EXPECT_GT(ws.counters().lp_hits, 0);
+  EXPECT_GT(ws.counters().topo_hits, 0);
 }
 
-TEST(WorkspaceTest, LeaseCollisionFallsBackToThrowawayEntry) {
+TEST(WorkspaceTest, ClearDropsCaches) {
+  Instance inst = MakeInstance(20, 4, 6, 31);
   PlanningWorkspace ws;
-  auto lease1 = ws.AcquireLp(LpKind::kNoFilter, 0);
-  ASSERT_TRUE(lease1);
-  lease1.get()->built = true;
-  lease1.get()->topo_epoch = 42;
+  const auto paths = ws.Paths(inst.topology);
+  const auto hits = ws.Hits(inst.samples);
+  EXPECT_EQ(ws.Paths(inst.topology), paths);  // warm: the same snapshot
+  EXPECT_EQ(ws.Hits(inst.samples), hits);
+  const WorkspaceCounters before = ws.counters();
 
-  // Same slot while leased out: a usable throwaway, not the cached entry.
-  auto lease2 = ws.AcquireLp(LpKind::kNoFilter, 0);
-  ASSERT_TRUE(lease2);
-  EXPECT_FALSE(lease2.get()->built);
-  lease2.get()->topo_epoch = 7;  // must not leak into the cache
-  lease2.Release();
-  lease1.Release();
-
-  auto lease3 = ws.AcquireLp(LpKind::kNoFilter, 0);
-  ASSERT_TRUE(lease3);
-  EXPECT_TRUE(lease3.get()->built);
-  EXPECT_EQ(lease3.get()->topo_epoch, 42u);
-
-  // Distinct kinds and keys are distinct slots.
-  auto other_kind = ws.AcquireLp(LpKind::kFilter, 0);
-  auto other_key = ws.AcquireLp(LpKind::kNoFilter, 1);
-  EXPECT_FALSE(other_kind.get()->built);
-  EXPECT_FALSE(other_key.get()->built);
-}
-
-TEST(WorkspaceTest, ClearDropsCachesAndInFlightLeases) {
-  PlanningWorkspace ws;
-  {
-    auto lease = ws.AcquireLp(LpKind::kProof, 3);
-    lease.get()->built = true;
-    ws.Clear();  // the lease predates the Clear; its entry must be dropped
-  }
-  auto again = ws.AcquireLp(LpKind::kProof, 3);
-  EXPECT_FALSE(again.get()->built);
+  ws.Clear();
+  const auto fresh_paths = ws.Paths(inst.topology);
+  const auto fresh_hits = ws.Hits(inst.samples);
+  EXPECT_NE(fresh_paths, paths);  // rebuilt, not served from the cache
+  EXPECT_NE(fresh_hits, hits);
+  EXPECT_EQ(*fresh_paths, *paths);  // ... with identical contents
+  EXPECT_EQ(fresh_hits->column_sums(), hits->column_sums());
+  EXPECT_EQ(ws.counters().topo_misses, before.topo_misses + 1);
 }
 
 TEST(WorkspaceTest, CountersAppearInMetricsSnapshot) {
@@ -324,9 +280,8 @@ TEST(WorkspaceTest, CountersAppearInMetricsSnapshot) {
   };
   EXPECT_GT(counter("workspace.topo.miss"), 0);
   EXPECT_GT(counter("workspace.topo.hit"), 0);
-  EXPECT_EQ(counter("workspace.lp.miss"), 1);
-  EXPECT_EQ(counter("workspace.lp.hit"), 1);
-  EXPECT_GT(counter("workspace.lp.patch"), 0);
+  EXPECT_EQ(counter("workspace.hits.miss"), 1);
+  EXPECT_EQ(counter("workspace.hits.hit"), 1);
 }
 
 // A planner that records how often it actually runs — the probe for

@@ -396,164 +396,6 @@ TEST_P(TwoVarVertexTest, MatchesVertexEnumeration) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TwoVarVertexTest, ::testing::Range(1, 40));
 
-// -------- Warm starts: re-solving a drifted model from the previous
-// optimal basis must reach the cold objective. --------
-
-// A random bounded maximization LP with a guaranteed feasible region.
-Model RandomLp(Rng* rng, int nvars, int nrows) {
-  Model m;
-  m.SetSense(Sense::kMaximize);
-  for (int i = 0; i < nvars; ++i) {
-    m.AddVariable(0.0, rng->Uniform(1.0, 6.0), rng->Uniform(-1.0, 3.0));
-  }
-  for (int r = 0; r < nrows; ++r) {
-    std::vector<Term> terms;
-    for (int i = 0; i < nvars; ++i) {
-      if (rng->Uniform(0.0, 1.0) < 0.6) {
-        terms.push_back({i, rng->Uniform(0.2, 1.5)});
-      }
-    }
-    if (terms.empty()) terms.push_back({0, 1.0});
-    m.AddRow(RowType::kLessEqual, rng->Uniform(1.0, 8.0), std::move(terms));
-  }
-  return m;
-}
-
-class WarmStartPropertyTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(WarmStartPropertyTest, DriftedObjectiveAndRhsReachColdObjective) {
-  Rng rng(7000 + GetParam());
-  Model m = RandomLp(&rng, 6 + GetParam() % 5, 4 + GetParam() % 4);
-  SimplexSolver solver;
-  Solution first = MustSolve(m);
-  ASSERT_EQ(first.status, SolveStatus::kOptimal);
-  ASSERT_FALSE(first.basis.empty());
-
-  // Drift every objective coefficient and RHS a little — the incremental
-  // planners' steady-state patch — and re-solve warm and cold.
-  for (int i = 0; i < m.num_variables(); ++i) {
-    m.SetObjective(i, m.variable(i).objective + rng.Uniform(-0.3, 0.3));
-  }
-  for (int r = 0; r < m.num_rows(); ++r) {
-    m.SetRhs(r, m.row(r).rhs + rng.Uniform(0.0, 0.5));
-  }
-  auto warm = solver.SolveWarm(m, first.basis);
-  Solution cold = MustSolve(m);
-  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  ASSERT_EQ(warm->status, cold.status);
-  if (cold.status == SolveStatus::kOptimal) {
-    EXPECT_NEAR(warm->objective, cold.objective,
-                1e-6 * (1.0 + std::abs(cold.objective)));
-    EXPECT_TRUE(m.IsFeasible(warm->values, 1e-6));
-  }
-}
-
-TEST_P(WarmStartPropertyTest, TombstonedVariablesReachColdObjective) {
-  Rng rng(8000 + GetParam());
-  Model m = RandomLp(&rng, 8, 5);
-  SimplexSolver solver;
-  Solution first = MustSolve(m);
-  ASSERT_EQ(first.status, SolveStatus::kOptimal);
-
-  // Retire two variables the way cached LPs tombstone dead sample blocks.
-  m.SetBounds(1, 0.0, 0.0);
-  m.SetBounds(4, 0.0, 0.0);
-  auto warm = solver.SolveWarm(m, first.basis);
-  Solution cold = MustSolve(m);
-  ASSERT_TRUE(warm.ok());
-  ASSERT_EQ(warm->status, cold.status);
-  if (cold.status == SolveStatus::kOptimal) {
-    EXPECT_NEAR(warm->objective, cold.objective,
-                1e-6 * (1.0 + std::abs(cold.objective)));
-    EXPECT_NEAR(warm->values[1], 0.0, 1e-9);
-    EXPECT_NEAR(warm->values[4], 0.0, 1e-9);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, WarmStartPropertyTest,
-                         ::testing::Range(1, 30));
-
-TEST(WarmStartTest, CrossCheckReturnsTheColdSolutionBitForBit) {
-  Rng rng(555);
-  Model m = RandomLp(&rng, 7, 5);
-  SimplexSolver solver;
-  Solution first = MustSolve(m);
-  ASSERT_EQ(first.status, SolveStatus::kOptimal);
-  m.SetRhs(0, m.row(0).rhs * 0.8);
-
-  auto checked = solver.SolveWarm(m, first.basis, /*cross_check=*/true);
-  Solution cold = MustSolve(m);
-  ASSERT_TRUE(checked.ok());
-  EXPECT_TRUE(checked->warm_started);
-  // Not just the same objective: the identical vertex, to the last bit.
-  EXPECT_EQ(checked->values, cold.values);
-  EXPECT_EQ(checked->objective, cold.objective);
-}
-
-TEST(WarmStartTest, EmptyBasisFallsBackToColdSolve) {
-  Rng rng(556);
-  Model m = RandomLp(&rng, 5, 4);
-  SimplexSolver solver;
-  auto s = solver.SolveWarm(m, Basis{});
-  ASSERT_TRUE(s.ok());
-  EXPECT_EQ(s->status, SolveStatus::kOptimal);
-  EXPECT_FALSE(s->warm_started);
-}
-
-TEST(WarmStartTest, MismatchedBasisDimensionsFallBackToColdSolve) {
-  Rng rng(557);
-  Model small = RandomLp(&rng, 4, 3);
-  Model large = RandomLp(&rng, 9, 6);
-  SimplexSolver solver;
-  Solution s_small = MustSolve(small);
-  ASSERT_FALSE(s_small.basis.empty());
-
-  auto s = solver.SolveWarm(large, s_small.basis);
-  ASSERT_TRUE(s.ok());
-  EXPECT_EQ(s->status, SolveStatus::kOptimal);
-  EXPECT_FALSE(s->warm_started);  // rejected, solved cold
-  Solution cold = MustSolve(large);
-  EXPECT_EQ(s->objective, cold.objective);
-}
-
-TEST(WarmStartTest, ExtendBasisCarriesAnOldBasisOntoAGrownModel) {
-  Rng rng(558);
-  Model m = RandomLp(&rng, 6, 4);
-  SimplexSolver solver;
-  Solution first = MustSolve(m);
-  ASSERT_EQ(first.status, SolveStatus::kOptimal);
-
-  // Grow the model the way cached LPs append a sample block: new
-  // variables, a new row over them, and new terms joining an old row.
-  const int extra1 = m.AddVariable(0.0, 2.0, 1.5);
-  const int extra2 = m.AddVariable(0.0, 2.0, 0.5);
-  m.AddRow(RowType::kLessEqual, 2.5, {{extra1, 1.0}, {extra2, 1.0}});
-  m.AddRowTerm(0, {extra1, 0.7});
-
-  Basis grown = ExtendBasis(first.basis, m);
-  ASSERT_FALSE(grown.empty());
-  EXPECT_EQ(grown.num_structural, m.num_variables());
-  EXPECT_EQ(grown.num_rows, m.num_rows());
-
-  auto warm = solver.SolveWarm(m, grown);
-  Solution cold = MustSolve(m);
-  ASSERT_TRUE(warm.ok());
-  ASSERT_EQ(warm->status, cold.status);
-  if (cold.status == SolveStatus::kOptimal) {
-    EXPECT_NEAR(warm->objective, cold.objective,
-                1e-6 * (1.0 + std::abs(cold.objective)));
-  }
-}
-
-TEST(WarmStartTest, ShrunkenModelRejectsTheStaleBasis) {
-  Rng rng(559);
-  Model large = RandomLp(&rng, 8, 5);
-  Solution s = MustSolve(large);
-  Model small = RandomLp(&rng, 5, 3);
-  // ExtendBasis only grows; a basis from a bigger model is not a prefix.
-  EXPECT_TRUE(ExtendBasis(s.basis, small).empty());
-}
-
 }  // namespace
 }  // namespace lp
 }  // namespace prospector

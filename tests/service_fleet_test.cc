@@ -68,6 +68,46 @@ AdmitQueryRequest MakeAdmit(int deployment, int tenant, int k = 3,
   return req;
 }
 
+/// Asserts two fleets produced bit-identical scheduler output: every
+/// buffered answer of `ids` and every deployment's energy ledger. Drains
+/// both fleets' answer rings and returns what `a_fleet` held.
+std::vector<AnswerRecord> ExpectSameFleetOutput(FleetService* a_fleet,
+                                                FleetService* b_fleet,
+                                                const std::vector<int>& ids,
+                                                int deployments) {
+  std::vector<AnswerRecord> drained;
+  for (const int id : ids) {
+    PollAnswersResponse a = a_fleet->Poll({id, 0});
+    PollAnswersResponse b = b_fleet->Poll({id, 0});
+    EXPECT_EQ(a.answers.size(), b.answers.size()) << "query " << id;
+    EXPECT_GT(a.answers.size(), 0u) << "query " << id;
+    if (a.answers.size() != b.answers.size()) continue;
+    for (size_t i = 0; i < a.answers.size(); ++i) {
+      const AnswerRecord& x = a.answers[i];
+      const AnswerRecord& y = b.answers[i];
+      EXPECT_EQ(x.epoch, y.epoch);
+      EXPECT_EQ(x.kind, y.kind);
+      EXPECT_EQ(x.recall, y.recall);
+      EXPECT_EQ(x.energy_mj, y.energy_mj);
+      EXPECT_EQ(x.health, y.health);
+      EXPECT_EQ(x.answer.size(), y.answer.size());
+      for (size_t j = 0; j < std::min(x.answer.size(), y.answer.size()); ++j) {
+        EXPECT_EQ(x.answer[j].node, y.answer[j].node);
+        EXPECT_EQ(x.answer[j].value, y.answer[j].value);
+      }
+    }
+    drained.insert(drained.end(), a.answers.begin(), a.answers.end());
+  }
+  const FleetStatus sa = a_fleet->Snapshot();
+  const FleetStatus sb = b_fleet->Snapshot();
+  EXPECT_EQ(sa.total_energy_mj, sb.total_energy_mj);
+  for (int d = 0; d < deployments; ++d) {
+    EXPECT_EQ(sa.per_deployment[static_cast<size_t>(d)].total_energy_mj,
+              sb.per_deployment[static_cast<size_t>(d)].total_energy_mj);
+  }
+  return drained;
+}
+
 TEST(FleetServiceTest, AdmitActivatesAtEpochBoundary) {
   FleetWorld world(1, /*deployments=*/1, /*nodes=*/20);
   auto fleet = world.MakeFleet({});
@@ -234,33 +274,63 @@ TEST(FleetServiceTest, ParallelSchedulerBitIdenticalToSerial) {
   }
 
   // Scheduler output — every buffered answer — must match bit for bit.
-  for (const int id : ids) {
-    PollAnswersResponse a = serial->Poll({id, 0});
-    PollAnswersResponse b = parallel->Poll({id, 0});
-    ASSERT_EQ(a.answers.size(), b.answers.size()) << "query " << id;
-    EXPECT_GT(a.answers.size(), 0u) << "query " << id;
-    for (size_t i = 0; i < a.answers.size(); ++i) {
-      const AnswerRecord& x = a.answers[i];
-      const AnswerRecord& y = b.answers[i];
-      EXPECT_EQ(x.epoch, y.epoch);
-      EXPECT_EQ(x.kind, y.kind);
-      EXPECT_EQ(x.recall, y.recall);
-      EXPECT_EQ(x.energy_mj, y.energy_mj);
-      EXPECT_EQ(x.health, y.health);
-      ASSERT_EQ(x.answer.size(), y.answer.size());
-      for (size_t j = 0; j < x.answer.size(); ++j) {
-        EXPECT_EQ(x.answer[j].node, y.answer[j].node);
-        EXPECT_EQ(x.answer[j].value, y.answer[j].value);
-      }
-    }
-  }
-  const FleetStatus sa = serial->Snapshot();
-  const FleetStatus sb = parallel->Snapshot();
-  EXPECT_EQ(sa.total_energy_mj, sb.total_energy_mj);
+  ExpectSameFleetOutput(serial.get(), parallel.get(), ids, kDeployments);
+}
+
+// The paper's own planners under the scheduler: LP+LF deployments with
+// raised exploration (so windows slide and replans re-solve the LP every
+// few epochs), every other one Proof-audited each query epoch. Serial and
+// width-4 ticking must agree bit for bit.
+TEST(FleetServiceTest, ParallelSchedulerBitIdenticalWithLpPlanners) {
+  constexpr int kDeployments = 4;
+  constexpr int kEpochs = 20;
+  FleetWorld world(9, kDeployments, 20);
+
+  FleetOptions serial_options;
+  serial_options.scheduler_threads = 1;
+  serial_options.answer_ring_capacity = kEpochs;
+  FleetOptions parallel_options = serial_options;
+  parallel_options.scheduler_threads = 4;
+
+  auto serial = world.MakeFleet(serial_options);
+  auto parallel = world.MakeFleet(parallel_options);
+  std::vector<int> ids;
   for (int d = 0; d < kDeployments; ++d) {
-    EXPECT_EQ(sa.per_deployment[static_cast<size_t>(d)].total_energy_mj,
-              sb.per_deployment[static_cast<size_t>(d)].total_energy_mj);
+    AdmitQueryRequest req = MakeAdmit(d, d % 2, /*k=*/4, /*budget_mj=*/10.0);
+    req.spec.planner = core::PlannerChoice::kLpFilter;
+    req.spec.manager.base_explore_probability = 0.4;
+    req.spec.manager.boosted_explore_probability = 0.5;
+    if (d % 2 == 1) {
+      req.spec.audit_every = 1;
+      req.spec.lp.max_proof_samples = 4;
+    }
+    const auto a = serial->Admit(req);
+    const auto b = parallel->Admit(req);
+    ASSERT_TRUE(a.admitted && b.admitted) << a.message << " / " << b.message;
+    ASSERT_EQ(a.query_id, b.query_id);
+    ids.push_back(a.query_id);
   }
+  for (int e = 0; e < kEpochs; ++e) {
+    auto ra = serial->RunEpoch();
+    auto rb = parallel->RunEpoch();
+    ASSERT_TRUE(ra.ok()) << ra.status().ToString();
+    ASSERT_TRUE(rb.ok()) << rb.status().ToString();
+    EXPECT_EQ(ra->energy_mj, rb->energy_mj) << "epoch " << e;
+  }
+
+  // Exploration really slid the windows past the bootstrap sweeps, so the
+  // LP+LF replans re-solved on fresh samples.
+  for (int d = 0; d < kDeployments; ++d) {
+    EXPECT_GT(serial->deployment(d).samples(ids[d]).num_samples(), 4)
+        << "deployment " << d;
+  }
+
+  const std::vector<AnswerRecord> answers =
+      ExpectSameFleetOutput(serial.get(), parallel.get(), ids, kDeployments);
+  // The audited deployments answered from Proof-LP audits.
+  EXPECT_TRUE(std::any_of(answers.begin(), answers.end(), [](const auto& r) {
+    return r.kind == core::QueryEngine::QueryEpochKind::kAudit;
+  }));
 }
 
 TEST(FleetServiceTest, FleetParallelAdmissionIsThreadSafe) {
