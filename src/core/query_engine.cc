@@ -194,7 +194,7 @@ Result<bool> QueryEngine::MaybeHeal(TickResult* result) {
   }
   orig_of_ = std::move(new_orig);
   silent_.assign(new_n, 0);
-  for (QueryState* q : registry_.ordered()) {
+  for (const auto& q : registry_.ordered()) {
     q->samples = q->samples.Remapped(new_id, new_n);
   }
   for (std::vector<double>& collected : history_) {
@@ -245,9 +245,9 @@ Result<bool> QueryEngine::MaybeHeal(TickResult* result) {
 
   // Installed plans index nodes that no longer exist; replace every one
   // unconditionally on the surviving topology.
-  for (QueryState* q : registry_.ordered()) {
+  for (const auto& q : registry_.ordered()) {
     q->manager.InvalidatePlan();
-    auto changed = ReplanQuery(q);
+    auto changed = ReplanQuery(q.get());
     if (!changed.ok()) return changed.status();
     for (QueryTickResult& qr : result->per_query) {
       if (qr.query_id == q->id && *changed) qr.replanned = true;
@@ -263,7 +263,7 @@ Result<bool> QueryEngine::MaybeHeal(TickResult* result) {
 std::vector<QueryHealth> QueryEngine::HealthReport() const {
   std::vector<QueryHealth> out;
   out.reserve(registry_.ordered().size());
-  for (const QueryState* q : registry_.ordered()) {
+  for (const auto& q : registry_.ordered()) {
     QueryHealth h = q->health.health();
     h.query_id = q->id;
     h.tenant_id = q->spec.tenant_id;
@@ -295,10 +295,10 @@ void QueryEngine::UpdateHealth(TickResult* result) {
       static_cast<double>(rejects - guard_rejects_prev_);
   guard_rejects_prev_ = rejects;
 
-  const std::vector<QueryState*>& queries = registry_.ordered();
+  const QueryRegistry::Queries& queries = registry_.ordered();
   for (size_t i = 0; i < queries.size() && i < result->per_query.size();
        ++i) {
-    QueryState* q = queries[i];
+    QueryState* q = queries[i].get();
     QueryTickResult& qr = result->per_query[i];
     QueryHealthTracker::EpochSignals sig;
     sig.recall = qr.recall;
@@ -374,7 +374,7 @@ Result<QueryEngine::TickResult> QueryEngine::Tick(
   if (guarding_) guard_.StartEpoch(this_epoch);
   if (injecting_) injector_.AdvanceTo(this_epoch);
 
-  const std::vector<QueryState*>& queries = registry_.ordered();
+  const QueryRegistry::Queries& queries = registry_.ordered();
   if (queries.empty()) {
     result.kind = EpochKind::kIdle;
     FinishTick(result);
@@ -443,7 +443,7 @@ Result<QueryEngine::TickResult> QueryEngine::Tick(
     // already replanned on the new tree).
     if (!result.rebuilt && this_epoch + 1 >= options_.bootstrap_sweeps) {
       for (size_t i = 0; i < queries.size(); ++i) {
-        auto changed = ReplanQuery(queries[i]);
+        auto changed = ReplanQuery(queries[i].get());
         if (!changed.ok()) return changed.status();
         result.per_query[i].replanned = *changed;
       }
@@ -462,7 +462,7 @@ Result<QueryEngine::TickResult> QueryEngine::Tick(
   result.kind = EpochKind::kQuery;
   for (size_t i = 0; i < queries.size(); ++i) {
     if (!queries[i]->manager.has_plan()) {
-      auto changed = ReplanQuery(queries[i]);
+      auto changed = ReplanQuery(queries[i].get());
       if (!changed.ok()) return changed.status();
       result.per_query[i].replanned = *changed;
     }
@@ -473,7 +473,7 @@ Result<QueryEngine::TickResult> QueryEngine::Tick(
   // superplan below.
   std::vector<size_t> sharers;
   for (size_t i = 0; i < queries.size(); ++i) {
-    QueryState* q = queries[i];
+    QueryState* q = queries[i].get();
     QueryTickResult& qr = result.per_query[i];
     if (q->spec.audit_every > 0 &&
         ++q->queries_since_audit >= q->spec.audit_every) {
@@ -532,7 +532,7 @@ Result<QueryEngine::TickResult> QueryEngine::Tick(
     query_energy_ += sr.total_energy_mj();
     for (size_t s = 0; s < sharers.size(); ++s) {
       const size_t i = sharers[s];
-      QueryState* q = queries[i];
+      QueryState* q = queries[i].get();
       QueryTickResult& qr = result.per_query[i];
       qr.kind = QueryEpochKind::kQuery;
       qr.answer = std::move(sr.per_query[s].answer);

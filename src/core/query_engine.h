@@ -55,7 +55,7 @@ struct QueryEngineOptions {
 /// Multi-query top-k engine over one deployed network (see DESIGN.md,
 /// "Multi-query engine"). Layering:
 ///
-///   QueryRegistry  — admit/retire concurrent standing queries
+///   QueryRegistry  — admit/retire co-resident standing queries
 ///   plan merge     — per-epoch superplan over the installed plans
 ///   epoch driver   — Tick(): one shared sweep/trigger/collection wave
 ///   demux          — per-query answers, recall, proofs, energy shares

@@ -1,10 +1,7 @@
 #ifndef PROSPECTOR_CORE_QUERY_REGISTRY_H_
 #define PROSPECTOR_CORE_QUERY_REGISTRY_H_
 
-#include <atomic>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -79,24 +76,18 @@ struct QueryState {
 /// The admission/retirement layer: owns the QueryStates and guarantees
 /// ids are never reused.
 ///
-/// The registry is sharded: a power-of-two shard count, shard(id) =
-/// id & mask, one mutex per shard. Admit/retire/find touch exactly one
-/// shard, so they are O(1) and safe from concurrent callers operating on
-/// distinct ids (e.g. a ParallelFor admitting a batch) — the workload the
-/// fleet service puts on it at thousands of standing queries.
-///
-/// Iteration order is ascending query id, never admission wall-clock
-/// order, so the engine's per-epoch walk is deterministic no matter which
-/// thread admitted which query. ordered() returns a cached snapshot that
-/// is rebuilt after any admit/retire; it must not be called concurrently
-/// with mutation (the engine only iterates from its serial tick path).
+/// Single owner, no locking: each engine owns one registry and mutates it
+/// only from its own AddQuery/RemoveQuery/Tick, which are not thread-safe
+/// either (the fleet service serialises them per deployment). Live
+/// queries sit in one vector sorted by id, so Find is a binary search and
+/// iteration is ascending query id, never admission order: the engine's
+/// per-epoch walk is deterministic no matter who admitted which query.
 class QueryRegistry {
  public:
-  static constexpr int kDefaultShards = 16;
+  /// Live queries in ascending-id order.
+  using Queries = std::vector<std::unique_ptr<QueryState>>;
 
-  /// `shards` is rounded up to the next power of two, minimum 1.
-  explicit QueryRegistry(int shards = kDefaultShards);
-
+  QueryRegistry() = default;
   QueryRegistry(const QueryRegistry&) = delete;
   QueryRegistry& operator=(const QueryRegistry&) = delete;
 
@@ -118,45 +109,27 @@ class QueryRegistry {
   QueryState* Find(int id);
   const QueryState* Find(int id) const;
 
-  int size() const { return count_.load(std::memory_order_acquire); }
+  int size() const { return static_cast<int>(live_.size()); }
   /// Live ids, ascending.
   std::vector<int> ids() const;
 
   /// Live queries in ascending-id order — the engine's iteration order.
-  /// The reference is valid until the next admit/retire. Not safe to call
-  /// concurrently with mutation.
-  const std::vector<QueryState*>& ordered() const;
+  /// The reference is valid until the next admit/retire.
+  const Queries& ordered() const { return live_; }
 
-  int shard_count() const { return static_cast<int>(shards_.size()); }
   /// High-water mark: no id >= this has ever been issued.
-  int next_id() const { return next_id_.load(std::memory_order_acquire); }
+  int next_id() const { return next_id_; }
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<int, std::unique_ptr<QueryState>> live;
-    /// Every id ever admitted to this shard (live or retired).
-    std::unordered_set<int> used;
-  };
+  /// First live query whose id is >= `id`.
+  Queries::const_iterator LowerBound(int id) const;
+  void Insert(int id, const QuerySpec& spec, int num_nodes,
+              size_t sample_window);
 
-  Shard& ShardFor(int id) {
-    return *shards_[static_cast<size_t>(id) & mask_];
-  }
-  const Shard& ShardFor(int id) const {
-    return *shards_[static_cast<size_t>(id) & mask_];
-  }
-  /// Raises next_id_ to at least `floor` (CAS max).
-  void RaiseNextId(int floor);
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  size_t mask_;
-  std::atomic<int> next_id_{0};
-  std::atomic<int> count_{0};
-
-  /// Ascending-id iteration snapshot, rebuilt lazily after mutation.
-  mutable std::mutex order_mu_;
-  mutable std::atomic<bool> order_dirty_{true};
-  mutable std::vector<QueryState*> order_;
+  Queries live_;
+  /// Every id ever admitted (live or retired).
+  std::unordered_set<int> used_;
+  int next_id_ = 0;
 };
 
 }  // namespace core

@@ -9,12 +9,6 @@ namespace prospector {
 namespace service {
 namespace {
 
-size_t RoundUpPowerOfTwo(int n) {
-  size_t v = 1;
-  while (v < static_cast<size_t>(std::max(1, n))) v <<= 1;
-  return v;
-}
-
 /// Splitmix-style finalizer: decorrelates a deployment's truth stream
 /// from its engine stream without asking callers for two seeds.
 uint64_t TruthSeed(uint64_t seed) {
@@ -29,14 +23,7 @@ uint64_t TruthSeed(uint64_t seed) {
 FleetService::FleetService(FleetOptions options)
     : options_(options),
       pool_(std::max(1, options.scheduler_threads)),
-      quota_(options.default_quota) {
-  const size_t shards = RoundUpPowerOfTwo(options.index_shards);
-  index_.reserve(shards);
-  for (size_t i = 0; i < shards; ++i) {
-    index_.push_back(std::make_unique<IndexShard>());
-  }
-  index_mask_ = shards - 1;
-}
+      quota_(options.default_quota) {}
 
 void FleetService::SetTenantQuota(int tenant_id, TenantQuota quota) {
   quota_.SetQuota(tenant_id, quota);
@@ -58,12 +45,11 @@ int FleetService::AddDeployment(const net::Topology* topology,
 }
 
 FleetService::QueryRecord* FleetService::FindRecord(int query_id) {
-  if (query_id < 0) return nullptr;
-  IndexShard& shard = ShardFor(query_id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.records.find(query_id);
-  // Records are never erased, so the pointer stays valid after unlock.
-  return it != shard.records.end() ? it->second.get() : nullptr;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (query_id < 0 || static_cast<size_t>(query_id) >= records_.size()) {
+    return nullptr;
+  }
+  return records_[static_cast<size_t>(query_id)].get();
 }
 
 const FleetService::QueryRecord* FleetService::FindRecord(int query_id) const {
@@ -132,10 +118,10 @@ AdmitQueryResponse FleetService::Admit(const AdmitQueryRequest& request) {
   record->spec.tenant_id = request.tenant_id;
 
   {
-    // Capacity check, record insertion, and enqueue are one critical
-    // section, so a queued admit always has its record and the pending
-    // cap is exact under concurrent admission.
-    std::lock_guard<std::mutex> lock(queue_mu_);
+    // Capacity check, id allocation, record insertion, and enqueue are one
+    // critical section, so a queued admit always has its record, ids stay
+    // dense, and the pending cap is exact under concurrent admission.
+    std::lock_guard<std::mutex> lock(mu_);
     if (options_.max_pending_requests > 0 &&
         queue_.size() >= options_.max_pending_requests) {
       quota_.Release(request.tenant_id, request.spec.energy_budget_mj);
@@ -146,14 +132,10 @@ AdmitQueryResponse FleetService::Admit(const AdmitQueryRequest& request) {
       CountReject(request.tenant_id, resp.reject);
       return resp;
     }
-    const int id = next_query_id_.fetch_add(1, std::memory_order_relaxed);
+    const int id = static_cast<int>(records_.size());
     record->query_id = id;
     resp.query_id = id;
-    {
-      IndexShard& shard = ShardFor(id);
-      std::lock_guard<std::mutex> shard_lock(shard.mu);
-      shard.records.emplace(id, std::move(record));
-    }
+    records_.push_back(std::move(record));
     queue_.push_back({PendingRequest::kAdmit, resp.query_id});
     PROSPECTOR_GAUGE_SET("service.pending_requests",
                          static_cast<double>(queue_.size()));
@@ -192,7 +174,7 @@ RetireQueryResponse FleetService::Retire(const RetireQueryRequest& request) {
   }
   {
     // Retirements bypass the admission cap — they shrink the fleet.
-    std::lock_guard<std::mutex> lock(queue_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back({PendingRequest::kRetire, request.query_id});
   }
   PROSPECTOR_COUNTER_ADD("service.retire_requests", 1);
@@ -227,7 +209,7 @@ PollAnswersResponse FleetService::Poll(const PollAnswersRequest& request) {
 void FleetService::ApplyPending(FleetEpochReport* report) {
   std::deque<PendingRequest> batch;
   {
-    std::lock_guard<std::mutex> lock(queue_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     batch.swap(queue_);
     PROSPECTOR_GAUGE_SET("service.pending_requests", 0.0);
   }
@@ -359,7 +341,7 @@ FleetStatus FleetService::Snapshot() const {
     if (i != static_cast<int>(AdmitReject::kNone)) s.rejects += r;
   }
   {
-    std::lock_guard<std::mutex> lock(queue_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     s.pending_requests = static_cast<int>(queue_.size());
   }
   s.per_deployment.reserve(deployments_.size());

@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/core/query_engine.h"
@@ -26,9 +25,6 @@ struct FleetOptions {
   /// this many workers each epoch. <= 1 ticks serially; either way the
   /// scheduler output is bit-identical (see DESIGN.md, "Fleet service").
   int scheduler_threads = 1;
-  /// Shards of the service's query index (query id -> record), rounded up
-  /// to a power of two.
-  int index_shards = 64;
   /// Buffered answers per query; on overflow the oldest drops and the
   /// next poll reports how many were lost.
   size_t answer_ring_capacity = 32;
@@ -67,8 +63,15 @@ struct FleetEpochReport {
 /// owns its simulator, RNG, and truth stream), so the scheduler's output
 /// is bit-identical to ticking the same deployments sequentially.
 ///
-/// Query ids are allocated from a single fleet-wide counter and are never
-/// reused, on any deployment, ever (QueryRegistry burns retired ids).
+/// Threading: Admit, Retire and Poll are safe from concurrent callers.
+/// One service mutex guards the query index and the request queue, so an
+/// id is allocated, its record stored and its request queued atomically.
+/// Each deployment's engine has a single owner: only the serial
+/// ApplyPending and that deployment's own tick touch it.
+///
+/// Query ids are dense from 0, allocated fleet-wide, and never reused, on
+/// any deployment, ever (QueryRegistry burns retired ids). Records are
+/// never erased, so a query id is also its index in the record table.
 class FleetService {
  public:
   /// Produces one epoch's ground-truth readings for a deployment. Each
@@ -137,11 +140,6 @@ class FleetService {
     long long dropped = 0;
   };
 
-  struct IndexShard {
-    mutable std::mutex mu;
-    std::unordered_map<int, std::unique_ptr<QueryRecord>> records;
-  };
-
   struct Deployment {
     int id = -1;
     std::unique_ptr<core::QueryEngine> engine;
@@ -160,12 +158,9 @@ class FleetService {
     int query_id = -1;
   };
 
-  IndexShard& ShardFor(int query_id) {
-    return *index_[static_cast<size_t>(query_id) & index_mask_];
-  }
-  const IndexShard& ShardFor(int query_id) const {
-    return *index_[static_cast<size_t>(query_id) & index_mask_];
-  }
+  /// Bounds-checked lookup of a client-supplied id; nullptr for an id
+  /// never issued. The record never moves, so the pointer outlives the
+  /// lock taken here.
   QueryRecord* FindRecord(int query_id);
   const QueryRecord* FindRecord(int query_id) const;
   void CountReject(int tenant_id, AdmitReject reject);
@@ -177,14 +172,15 @@ class FleetService {
   QuotaLedger quota_;
   std::vector<std::unique_ptr<Deployment>> deployments_;
 
-  /// Fleet-wide query id allocator; ids are never reused.
-  std::atomic<int> next_query_id_{0};
   std::atomic<long long> epoch_{0};
 
-  std::vector<std::unique_ptr<IndexShard>> index_;
-  size_t index_mask_ = 0;
-
-  mutable std::mutex queue_mu_;
+  /// Guards records_ and queue_. Lock order: never take it while holding
+  /// a record's mu.
+  mutable std::mutex mu_;
+  /// Every query ever admitted, indexed by query id; the next id is
+  /// records_.size(). A deque, so growing it never copies the whole table
+  /// inside Admit's critical section.
+  std::deque<std::unique_ptr<QueryRecord>> records_;
   std::deque<PendingRequest> queue_;
 
   // Fleet-lifetime counters for Snapshot(); also mirrored to obs.

@@ -1,12 +1,11 @@
-// Sharded QueryRegistry: O(1) admit/retire under concurrent callers,
-// ascending-id iteration, and the never-reuse id guarantee the fleet
-// service builds on. The Parallel* cases are exercised under TSan by the
-// sanitize CI arm (test-name regex includes "Shard").
+// QueryRegistry: admit/find/retire on one id-sorted container,
+// ascending-id iteration, the never-reuse id guarantee the fleet service
+// builds on, and independence of registries driven concurrently.
 #include "src/core/query_registry.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "src/util/thread_pool.h"
@@ -21,15 +20,6 @@ QuerySpec CheapSpec(int k = 3) {
   spec.energy_budget_mj = 5.0;
   spec.planner = PlannerChoice::kGreedy;
   return spec;
-}
-
-TEST(QueryRegistryShardTest, ShardCountRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(QueryRegistry(1).shard_count(), 1);
-  EXPECT_EQ(QueryRegistry(2).shard_count(), 2);
-  EXPECT_EQ(QueryRegistry(3).shard_count(), 4);
-  EXPECT_EQ(QueryRegistry(16).shard_count(), 16);
-  EXPECT_EQ(QueryRegistry(17).shard_count(), 32);
-  EXPECT_EQ(QueryRegistry(0).shard_count(), 1);
 }
 
 TEST(QueryRegistryShardTest, AddFindRemoveBasics) {
@@ -73,90 +63,124 @@ TEST(QueryRegistryShardTest, ExternalIdsMayArriveOutOfOrder) {
 }
 
 TEST(QueryRegistryShardTest, OrderedIsAscendingById) {
-  QueryRegistry registry(4);
+  QueryRegistry registry;
   ASSERT_TRUE(registry.AddWithId(7, CheapSpec(7), 10, 8).ok());
   ASSERT_TRUE(registry.AddWithId(1, CheapSpec(1), 10, 8).ok());
   ASSERT_TRUE(registry.AddWithId(4, CheapSpec(4), 10, 8).ok());
-  const std::vector<QueryState*>& ordered = registry.ordered();
+  const QueryRegistry::Queries& ordered = registry.ordered();
   ASSERT_EQ(ordered.size(), 3u);
   EXPECT_EQ(ordered[0]->id, 1);
   EXPECT_EQ(ordered[1]->id, 4);
   EXPECT_EQ(ordered[2]->id, 7);
-  // The snapshot tracks mutation.
+  // Iteration tracks mutation.
   registry.Remove(4);
   ASSERT_EQ(registry.ordered().size(), 2u);
   EXPECT_EQ(registry.ordered()[1]->id, 7);
 }
 
+// A registry has a single owner and no locking, but each engine owns its
+// own, and the fleet drives many engines at once. The Parallel* tests run
+// independent registries concurrently, one per pool slot, and require
+// every one to end exactly where the serial script says: no hidden state
+// may be shared between registries.
+constexpr int kRegistries = 4;
+
 TEST(QueryRegistryShardTest, ParallelAdmitIsDeterministicAndLeakFree) {
   constexpr int kQueries = 256;
-  util::ThreadPool pool(4);
-  QueryRegistry registry;
-  std::vector<int> ok(kQueries, 0);
-  pool.ParallelFor(kQueries, [&](int begin, int end) {
-    for (int i = begin; i < end; ++i) {
-      ok[i] = registry.AddWithId(i, CheapSpec(1 + i % 5), 10, 8).ok() ? 1 : 0;
+  util::ThreadPool pool(kRegistries);
+  std::vector<std::unique_ptr<QueryRegistry>> registries(kRegistries);
+  std::vector<int> admitted(kRegistries, 0);
+  pool.ParallelFor(kRegistries, [&](int begin, int end) {
+    for (int r = begin; r < end; ++r) {
+      registries[r] = std::make_unique<QueryRegistry>();
+      for (int i = 0; i < kQueries; ++i) {
+        if (registries[r]->AddWithId(i, CheapSpec(1 + i % 5), 10, 8).ok()) {
+          ++admitted[r];
+        }
+      }
     }
   });
-  EXPECT_EQ(std::count(ok.begin(), ok.end(), 1), kQueries);
-  EXPECT_EQ(registry.size(), kQueries);
-  const std::vector<int> ids = registry.ids();
-  ASSERT_EQ(ids.size(), static_cast<size_t>(kQueries));
-  for (int i = 0; i < kQueries; ++i) {
-    EXPECT_EQ(ids[static_cast<size_t>(i)], i);  // ascending, gap-free
-    ASSERT_NE(registry.Find(i), nullptr);
-    EXPECT_EQ(registry.Find(i)->spec.k, 1 + i % 5);
+  for (int r = 0; r < kRegistries; ++r) {
+    const QueryRegistry& registry = *registries[r];
+    EXPECT_EQ(admitted[r], kQueries);
+    EXPECT_EQ(registry.size(), kQueries);
+    const std::vector<int> ids = registry.ids();
+    ASSERT_EQ(ids.size(), static_cast<size_t>(kQueries));
+    for (int i = 0; i < kQueries; ++i) {
+      EXPECT_EQ(ids[static_cast<size_t>(i)], i);  // ascending, gap-free
+      ASSERT_NE(registry.Find(i), nullptr);
+      EXPECT_EQ(registry.Find(i)->spec.k, 1 + i % 5);
+    }
+    EXPECT_EQ(registry.next_id(), kQueries);
   }
-  EXPECT_EQ(registry.next_id(), kQueries);
 }
 
 TEST(QueryRegistryShardTest, ParallelRetireThenReadmitNeverAliases) {
   constexpr int kQueries = 128;
-  util::ThreadPool pool(4);
-  QueryRegistry registry;
-  pool.ParallelFor(kQueries, [&](int begin, int end) {
-    for (int i = begin; i < end; ++i) {
-      ASSERT_TRUE(registry.AddWithId(i, CheapSpec(), 10, 8).ok());
+  util::ThreadPool pool(kRegistries);
+  std::vector<std::vector<int>> survivors(kRegistries);
+  std::vector<int> retired(kRegistries, 0);
+  std::vector<int> revived(kRegistries, 0);
+  pool.ParallelFor(kRegistries, [&](int begin, int end) {
+    for (int r = begin; r < end; ++r) {
+      QueryRegistry registry;
+      for (int i = 0; i < kQueries; ++i) {
+        EXPECT_TRUE(registry.AddWithId(i, CheapSpec(), 10, 8).ok());
+      }
+      // Retire the even ids...
+      for (int i = 0; i < kQueries; i += 2) {
+        if (registry.Remove(i)) ++retired[r];
+      }
+      // ...then try to re-admit them: every attempt must bounce.
+      for (int i = 0; i < kQueries; i += 2) {
+        if (registry.AddWithId(i, CheapSpec(), 10, 8).ok()) ++revived[r];
+      }
+      survivors[r] = registry.ids();
     }
   });
-  // Concurrently retire the even ids...
-  pool.ParallelFor(kQueries / 2, [&](int begin, int end) {
-    for (int i = begin; i < end; ++i) {
-      EXPECT_TRUE(registry.Remove(2 * i));
+  for (int r = 0; r < kRegistries; ++r) {
+    EXPECT_EQ(retired[r], kQueries / 2);
+    EXPECT_EQ(revived[r], 0);
+    const std::vector<int>& ids = survivors[r];
+    ASSERT_EQ(ids.size(), static_cast<size_t>(kQueries / 2));
+    for (size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_EQ(ids[i], static_cast<int>(2 * i + 1));  // odd survivors only
     }
-  });
-  EXPECT_EQ(registry.size(), kQueries / 2);
-  // ...then try to re-admit them concurrently: every attempt must bounce.
-  std::vector<int> revived(kQueries / 2, 0);
-  pool.ParallelFor(kQueries / 2, [&](int begin, int end) {
-    for (int i = begin; i < end; ++i) {
-      revived[i] = registry.AddWithId(2 * i, CheapSpec(), 10, 8).ok() ? 1 : 0;
-    }
-  });
-  EXPECT_EQ(std::count(revived.begin(), revived.end(), 1), 0);
-  const std::vector<int> ids = registry.ids();
-  ASSERT_EQ(ids.size(), static_cast<size_t>(kQueries / 2));
-  for (size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(ids[i], static_cast<int>(2 * i + 1));  // odd survivors only
   }
 }
 
 TEST(QueryRegistryShardTest, ParallelMixedChurnConvergesToSameState) {
-  // Two registries fed the same operations with different thread counts
-  // must converge to identical membership.
+  // The same add/remove script, fed to each registry in a different
+  // rotation of its admission order and run on different thread counts,
+  // must converge to identical membership: every id not divisible by 3.
   constexpr int kOps = 200;
   auto run = [&](int threads) {
     util::ThreadPool pool(threads);
-    QueryRegistry registry(8);
-    pool.ParallelFor(kOps, [&](int begin, int end) {
-      for (int i = begin; i < end; ++i) {
-        ASSERT_TRUE(registry.AddWithId(i, CheapSpec(), 10, 8).ok());
-        if (i % 3 == 0) EXPECT_TRUE(registry.Remove(i));
+    std::vector<std::vector<int>> members(kRegistries);
+    pool.ParallelFor(kRegistries, [&](int begin, int end) {
+      for (int r = begin; r < end; ++r) {
+        QueryRegistry registry;
+        for (int n = 0; n < kOps; ++n) {
+          const int i = (n + r * kOps / kRegistries) % kOps;
+          EXPECT_TRUE(registry.AddWithId(i, CheapSpec(), 10, 8).ok());
+          if (i % 3 == 0) {
+            EXPECT_TRUE(registry.Remove(i));
+          }
+        }
+        members[r] = registry.ids();
       }
     });
-    return registry.ids();
+    return members;
   };
-  EXPECT_EQ(run(1), run(4));
+  std::vector<int> expected;
+  for (int i = 0; i < kOps; ++i) {
+    if (i % 3 != 0) expected.push_back(i);
+  }
+  const std::vector<std::vector<int>> serial = run(1);
+  for (const std::vector<int>& members : serial) {
+    EXPECT_EQ(members, expected);
+  }
+  EXPECT_EQ(run(kRegistries), serial);
 }
 
 }  // namespace

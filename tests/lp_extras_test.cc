@@ -1,9 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-
-#include "src/lp/lp_writer.h"
 #include "src/lp/model.h"
 #include "src/lp/simplex.h"
 #include "src/util/rng.h"
@@ -108,52 +104,6 @@ TEST(DualsTest, ReducedCostSignsAtOptimum) {
   // a maximization (no improvement available from raising b).
   EXPECT_NEAR(sol->values[a], 1.0, 1e-9);
   EXPECT_LE(sol->reduced_costs[b], 1e-9);
-}
-
-// ---- LP writer ----
-
-TEST(LpWriterTest, GoldenSmallModel) {
-  Model m;
-  m.SetSense(Sense::kMaximize);
-  int x = m.AddVariable(0.0, kInfinity, 3.0, "apples");
-  int y = m.AddVariable(0.0, 1.0, 5.0);
-  m.AddRow(RowType::kLessEqual, 4.0, {{x, 1.0}, {y, -2.0}}, "cap");
-  m.AddRow(RowType::kEqual, 1.0, {{y, 1.0}});
-  const std::string text = WriteLpString(m);
-  EXPECT_EQ(text,
-            "Maximize\n"
-            " obj: 3 apples + 5 x1\n"
-            "Subject To\n"
-            " cap: apples - 2 x1 <= 4\n"
-            " r1: x1 = 1\n"
-            "Bounds\n"
-            " 0 <= apples\n"
-            " 0 <= x1 <= 1\n"
-            "End\n");
-}
-
-TEST(LpWriterTest, FreeFixedAndDuplicateTerms) {
-  Model m;
-  int f = m.AddVariable(-kInfinity, kInfinity, 1.0, "f");
-  int p = m.AddVariable(2.0, 2.0, 0.0, "p");
-  m.AddRow(RowType::kGreaterEqual, -1.0, {{f, 0.5}, {f, 0.5}, {p, 1.0}});
-  const std::string text = WriteLpString(m);
-  EXPECT_NE(text.find("Minimize"), std::string::npos);
-  EXPECT_NE(text.find("f + p >= -1"), std::string::npos);  // terms merged
-  EXPECT_NE(text.find(" f free"), std::string::npos);
-  EXPECT_NE(text.find(" p = 2"), std::string::npos);
-}
-
-TEST(LpWriterTest, FileRoundTripWritesReadableText) {
-  Model m;
-  m.AddBinaryRelaxed(1.0);
-  const std::string path = testing::TempDir() + "/model.lp";
-  ASSERT_TRUE(WriteLpFile(m, path).ok());
-  std::ifstream in(path);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  EXPECT_EQ(contents, WriteLpString(m));
-  std::remove(path.c_str());
 }
 
 }  // namespace

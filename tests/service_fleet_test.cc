@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/core/health.h"
@@ -241,6 +242,31 @@ TEST(FleetServiceTest, RetireBeforeActivationAppliesInOrder) {
   const PollAnswersResponse poll = fleet->Poll({admit.query_id, 0});
   EXPECT_TRUE(poll.known_query);
   EXPECT_FALSE(poll.active);
+}
+
+TEST(FleetServiceTest, NeverIssuedIdsAreUnknown) {
+  FleetWorld world(4, 1, 20);
+  auto fleet = world.MakeFleet({});
+  const AdmitQueryResponse admit = fleet->Admit(MakeAdmit(0, 0));
+  ASSERT_TRUE(admit.admitted);
+  ASSERT_EQ(admit.query_id, 0);  // fleet ids are dense from 0
+  // Client-supplied ids the fleet never issued: negative, the very next
+  // id, and far past the end of the record table.
+  for (const int id : {-1, admit.query_id + 1, 1 << 30}) {
+    const PollAnswersResponse poll = fleet->Poll({id, 0});
+    EXPECT_FALSE(poll.known_query) << id;
+    EXPECT_FALSE(poll.active) << id;
+    EXPECT_TRUE(poll.answers.empty()) << id;
+    const RetireQueryResponse retire = fleet->Retire({id, 0});
+    EXPECT_FALSE(retire.retired) << id;
+    EXPECT_EQ(retire.message, "unknown query id " + std::to_string(id));
+  }
+  // The probes leave no trace: nothing queued, the issued query is intact,
+  // and the next admission takes the next dense id.
+  EXPECT_EQ(fleet->Snapshot().pending_requests, 1);
+  ASSERT_TRUE(fleet->RunEpoch().ok());
+  EXPECT_TRUE(fleet->Poll({admit.query_id, 0}).active);
+  EXPECT_EQ(fleet->Admit(MakeAdmit(0, 0)).query_id, admit.query_id + 1);
 }
 
 TEST(FleetServiceTest, ParallelSchedulerBitIdenticalToSerial) {
