@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "src/core/executor.h"
 #include "src/core/greedy_planner.h"
 #include "src/core/lp_filter_planner.h"
 #include "src/core/lp_no_filter_planner.h"
 #include "src/core/plan_eval.h"
+#include "src/core/proof_planner.h"
 #include "src/data/contention.h"
 #include "src/data/gaussian_field.h"
 #include "src/net/simulator.h"
@@ -223,6 +225,95 @@ TEST(LpPlannersTest, FailureAwareCostsShrinkPlans) {
   // And the inflated-cost accounting still fits the budget.
   net::NetworkSimulator sim(&inst.topology, failing.energy, failing.failures);
   EXPECT_LE(ExpectedCollectionCost(*careful, sim), req.energy_budget_mj + 1e-6);
+}
+
+// Pins the simplex pivot path behind the paper's LP planners. The fixtures
+// follow bench_lp_solver's PlannerFixture; the constants were recorded from
+// the revised engine and must not move when the solver is only made
+// faster: the same entering and leaving column on every pivot gives the
+// same iteration counts and the same rounded bandwidths.
+struct PivotPathFixture {
+  net::Topology topo;
+  data::GaussianField field;
+  sampling::SampleSet samples;
+  PlannerContext ctx;
+
+  PivotPathFixture(int n, int k, int S)
+      : samples(sampling::SampleSet::ForTopK(n, k)) {
+    Rng rng(11);
+    net::GeometricNetworkOptions geo;
+    geo.num_nodes = n;
+    geo.radio_range = n >= 100 ? 22.0 : 28.0;
+    topo = net::BuildConnectedGeometricNetwork(geo, &rng).value();
+    field = data::GaussianField::Random(n, 40, 60, 1, 16, &rng);
+    for (int s = 0; s < S; ++s) samples.Add(field.Sample(&rng));
+    ctx.topology = &topo;
+  }
+};
+
+// FNV-1a over the little-endian bytes of each bandwidth.
+uint64_t BandwidthDigest(const QueryPlan& plan) {
+  uint64_t h = 1469598103934665603ull;
+  for (const int b : plan.bandwidth) {
+    const uint32_t u = static_cast<uint32_t>(b);
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (u >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+struct PivotPath {
+  int phase1;
+  int phase2;
+  uint64_t digest;
+};
+
+PivotPath PlanAndRecord(Planner* planner, const PivotPathFixture& f,
+                        const PlanRequest& req) {
+  auto plan = planner->Plan(f.ctx, f.samples, req);
+  EXPECT_TRUE(plan.ok()) << planner->name();
+  if (!plan.ok()) return {-1, -1, 0};
+  const lp::SolveStats& lp = planner->last_stats().lp;
+  return {lp.phase1_iterations, lp.phase2_iterations,
+          BandwidthDigest(plan.value())};
+}
+
+TEST(PivotPathTest, LpFilterPlannerN100) {
+  PivotPathFixture f(100, 10, 25);
+  LpFilterPlanner planner;
+  const PivotPath p = PlanAndRecord(&planner, f, PlanRequest{10, 12.0});
+  EXPECT_EQ(p.phase1, 0);
+  EXPECT_EQ(p.phase2, 349);
+  EXPECT_EQ(p.digest, 0x21e51d6d9a6e2be4ull);
+}
+
+TEST(PivotPathTest, LpNoFilterPlannerN100) {
+  PivotPathFixture f(100, 10, 25);
+  LpNoFilterPlanner planner;
+  const PivotPath p = PlanAndRecord(&planner, f, PlanRequest{10, 12.0});
+  EXPECT_EQ(p.phase1, 0);
+  EXPECT_EQ(p.phase2, 77);
+  EXPECT_EQ(p.digest, 0x32b5399007abfcfaull);
+}
+
+TEST(PivotPathTest, ProofPlannerN40) {
+  PivotPathFixture f(40, 10, 8);
+  ProofPlanner planner;
+  PlanRequest req;
+  req.k = 10;
+  req.energy_budget_mj = ProofPlanner::MinimumCost(f.ctx) * 1.2;
+  const PivotPath p = PlanAndRecord(&planner, f, req);
+  EXPECT_EQ(p.phase1, 0);
+#ifdef PROSPECTOR_LP_CROSSCHECK
+  // Cross-check builds return the dense oracle's solution and stats; its
+  // pivot path on this LP is 12 pivots shorter, to the same plan.
+  EXPECT_EQ(p.phase2, 637);
+#else
+  EXPECT_EQ(p.phase2, 649);
+#endif
+  EXPECT_EQ(p.digest, 0xb8236c073f0d2991ull);
 }
 
 }  // namespace
