@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/lp/model.h"
+#include "src/obs/metrics.h"
 #include "src/util/rng.h"
 
 namespace prospector {
@@ -212,44 +213,86 @@ TEST(SimplexTest, RevisedCrossCheckMatchesDenseOnRandomLps) {
   // The objectives are additionally compared here, and in a
   // -DPROSPECTOR_LP_CROSSCHECK=ON build the returned solution must be the
   // dense oracle's, bit for bit.
+  //
+  // Rows mix <=, >= and = with right-hand sides of either sign, so most
+  // trials start with artificials and run phase 1. Each right-hand side is
+  // set around a random in-bounds point, which keeps every trial feasible
+  // (and, with boxed variables, kOptimal). Every trial runs at
+  // refactor_interval 1 and 64: refactoring after each pivot rebuilds the
+  // eta file from bases where structural columns have claimed the rows of
+  // still-basic slacks and artificials. A singular refactorization would
+  // fall back to the dense oracle and hide a factorization bug, so none
+  // may happen.
+  const obs::Counter* fallbacks =
+      obs::MetricsRegistry::Global().counter("lp.revised_fallbacks");
+  const int64_t fallbacks_before = fallbacks->value();
   Rng rng(0x5ca1e);
+  int trials_with_phase1 = 0;
   for (int trial = 0; trial < 12; ++trial) {
     Model m;
     m.SetSense(Sense::kMaximize);
     const int nvars = 12;
     std::vector<int> xs;
+    std::vector<double> point;
     for (int v = 0; v < nvars; ++v) {
-      xs.push_back(
-          m.AddVariable(0.0, rng.Uniform(0.5, 2.0), rng.Uniform(-1.0, 1.0)));
+      const double up = rng.Uniform(0.5, 2.0);
+      xs.push_back(m.AddVariable(0.0, up, rng.Uniform(-1.0, 1.0)));
+      point.push_back(rng.Uniform(0.0, up));
     }
-    for (int r = 0; r < 8; ++r) {
+    for (int r = 0; r < 10; ++r) {
       std::vector<Term> terms;
+      double at_point = 0.0;
       for (int v = 0; v < nvars; ++v) {
-        if (rng.NextDouble() < 0.4) terms.push_back({xs[v], rng.Uniform(-1.0, 2.0)});
+        if (rng.NextDouble() < 0.4) {
+          const double c = rng.Uniform(-2.0, 2.0);
+          terms.push_back({xs[v], c});
+          at_point += c * point[v];
+        }
       }
-      // Nonnegative rhs keeps x = 0 feasible: every trial is kOptimal.
-      m.AddRow(RowType::kLessEqual, rng.Uniform(0.5, 3.0), terms);
+      const double kind = rng.NextDouble();
+      if (kind < 0.5) {
+        m.AddRow(RowType::kLessEqual, at_point + rng.Uniform(0.0, 1.0), terms);
+      } else if (kind < 0.8) {
+        m.AddRow(RowType::kGreaterEqual, at_point - rng.Uniform(0.0, 1.0),
+                 terms);
+      } else {
+        m.AddRow(RowType::kEqual, at_point, terms);
+      }
     }
     SimplexOptions dense_opts;
     dense_opts.algorithm = SimplexAlgorithm::kDense;
-    SimplexOptions checked_opts;
-    checked_opts.algorithm = SimplexAlgorithm::kRevised;
-    checked_opts.cross_check = true;
-    Solution dense = MustSolve(m, dense_opts);
-    Solution checked = MustSolve(m, checked_opts);
-    ASSERT_EQ(checked.status, dense.status) << "trial=" << trial;
+    const Solution dense = MustSolve(m, dense_opts);
     ASSERT_EQ(dense.status, SolveStatus::kOptimal) << "trial=" << trial;
-    EXPECT_NEAR(checked.objective, dense.objective,
-                1e-7 * (1.0 + std::fabs(dense.objective)))
-        << "trial=" << trial;
+    if (dense.stats.phase1_iterations > 0) ++trials_with_phase1;
+    for (const int interval : {1, 64}) {
+      SimplexOptions revised_opts;
+      revised_opts.algorithm = SimplexAlgorithm::kRevised;
+      revised_opts.refactor_interval = interval;
+      SimplexOptions checked_opts = revised_opts;
+      checked_opts.cross_check = true;
+      const Solution revised = MustSolve(m, revised_opts);
+      const Solution checked = MustSolve(m, checked_opts);
+      ASSERT_EQ(revised.status, dense.status)
+          << "trial=" << trial << " interval=" << interval;
+      ASSERT_EQ(checked.status, dense.status)
+          << "trial=" << trial << " interval=" << interval;
+      EXPECT_NEAR(revised.objective, dense.objective,
+                  1e-7 * (1.0 + std::fabs(dense.objective)))
+          << "trial=" << trial << " interval=" << interval;
+      EXPECT_NEAR(checked.objective, dense.objective,
+                  1e-7 * (1.0 + std::fabs(dense.objective)))
+          << "trial=" << trial << " interval=" << interval;
 #ifdef PROSPECTOR_LP_CROSSCHECK
-    ASSERT_EQ(checked.values.size(), dense.values.size());
-    for (size_t i = 0; i < dense.values.size(); ++i) {
-      EXPECT_EQ(checked.values[i], dense.values[i])
-          << "trial=" << trial << " var=" << i;
-    }
+      ASSERT_EQ(checked.values.size(), dense.values.size());
+      for (size_t i = 0; i < dense.values.size(); ++i) {
+        EXPECT_EQ(checked.values[i], dense.values[i])
+            << "trial=" << trial << " interval=" << interval << " var=" << i;
+      }
 #endif
+    }
   }
+  EXPECT_GE(trials_with_phase1, 6);
+  EXPECT_EQ(fallbacks->value(), fallbacks_before);
 }
 
 TEST(SimplexTest, ValidateRejectsBadVariableIndex) {
