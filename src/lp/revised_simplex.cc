@@ -3,15 +3,26 @@
 // as the dense tableau (simplex.cc) — same equality form, same initial
 // basis, same Dantzig/Bland pricing, same ratio-test tie-breaking, same
 // stall detection — but carries the basis inverse as a product-form eta
-// file over CSC columns, so each pivot costs O(nnz) instead of
-// O(rows · cols). The factorization is rebuilt every
+// file over CSC columns instead of an explicit m x (n+m) tableau.
+//
+// Per pivot: BTRAN and pricing cost O(m + nnz) (y is a dense m-vector and
+// every nonbasic column is priced); FTRAN walks the stored etas and the
+// fill-in it produces; the ratio test and the step touch only the nonzeros
+// of the entering column; the stall check sums only the nonzero-cost
+// terms. Identity etas (slacks and artificials pivoting on their own row)
+// are not stored, so the eta file holds only the structural part of the
+// basis. The factorization is rebuilt every
 // SimplexOptions::refactor_interval pivots (and before declaring
 // optimality), both for numerical hygiene and to shed eta fill-in; a
-// singular refactorization is a numerical breakdown and falls back to the
-// dense oracle, which is kept runnable for every accepted model.
+// refactor costs O(m) for the singleton columns plus an FTRAN per
+// structural basic column. A singular refactorization is a numerical
+// breakdown and falls back to the dense oracle, which is kept runnable for
+// every accepted model.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -68,29 +79,41 @@ struct SparseVec {
 // Product form of the inverse: B^{-1} = E_k^{-1} ... E_1^{-1}, each eta
 // recording the column w = B_prev^{-1} a_j that entered at `pivot_row`.
 // Nonzeros are packed into flat arrays so FTRAN/BTRAN stream linearly.
+//
+// An identity eta (unit pivot, no off-pivot entries) is an exact no-op in
+// FTRAN and BTRAN (t * 1.0 == t), so it is counted but not stored: the
+// slack and artificial columns that make up most of a planner basis then
+// cost nothing in later FTRAN, BTRAN and refactor passes. entries() still
+// counts every logical eta, which keeps the early-refactor trigger on the
+// same pivot it would fire at if identities were stored.
 class EtaFile {
  public:
   void Clear() {
     etas_.clear();
     nz_rows_.clear();
     nz_vals_.clear();
+    logical_etas_ = 0;
   }
-  size_t entries() const { return nz_rows_.size() + etas_.size(); }
+  size_t entries() const { return nz_rows_.size() + logical_etas_; }
 
-  // Records w (sparse form, indices sorted) as the next eta.
-  void Append(const SparseVec& w, int pivot_row) {
-    Eta e;
-    e.pivot_row = pivot_row;
-    e.inv_pivot = 1.0 / w.vals[pivot_row];
-    e.begin = static_cast<int>(nz_rows_.size());
+  // Records w (sparse form, indices sorted) as the next eta. Returns the
+  // nonzeros stored: the pivot plus the off-pivot entries, 0 for an
+  // identity eta.
+  size_t Append(const SparseVec& w, int pivot_row) {
+    const size_t begin = nz_rows_.size();
     for (const int i : w.list) {
       if (i != pivot_row && w.vals[i] != 0.0) {
         nz_rows_.push_back(i);
         nz_vals_.push_back(w.vals[i]);
       }
     }
-    e.end = static_cast<int>(nz_rows_.size());
-    etas_.push_back(e);
+    return Close(pivot_row, w.vals[pivot_row], begin);
+  }
+
+  // Records the eta of a column whose only nonzero is `pivot` at
+  // `pivot_row`; same result as Append on that column.
+  size_t AppendSingleton(int pivot_row, double pivot) {
+    return Close(pivot_row, pivot, nz_rows_.size());
   }
 
   // v <- B^{-1} v, dense carrier: apply eta inverses oldest-first.
@@ -142,9 +165,22 @@ class EtaFile {
     double inv_pivot;
     int begin, end;  // nonzeros excluding the pivot row
   };
+
+  // Finishes the eta whose off-pivot entries start at `begin`.
+  size_t Close(int pivot_row, double pivot, size_t begin) {
+    ++logical_etas_;
+    const double inv_pivot = 1.0 / pivot;
+    const size_t end = nz_rows_.size();
+    if (inv_pivot == 1.0 && end == begin) return 0;
+    etas_.push_back({pivot_row, inv_pivot, static_cast<int>(begin),
+                     static_cast<int>(end)});
+    return 1 + end - begin;
+  }
+
   std::vector<Eta> etas_;
   std::vector<int> nz_rows_;
   std::vector<double> nz_vals_;
+  size_t logical_etas_ = 0;
 };
 
 // Equality-form working state; the sparse counterpart of the dense Tableau.
@@ -162,11 +198,21 @@ struct Engine {
   int refactor_every = 64;
   size_t eta_entry_cap = 0;
   bool breakdown = false;
+  SolveStats& stats;  // refactorizations and eta_nonzeros land here
+
+  // The terms ObjectiveNow() sums: columns of nonzero active cost
+  // (ascending), and a bitset of the rows whose basic column has nonzero
+  // active cost, kept current on every basis change. A skipped term is
+  // zero cost times a finite value (nonbasic columns rest at a finite
+  // bound or 0), an exact +-0 that cannot change a running sum that starts
+  // at +0, so the objective is bit-identical to a full sweep.
+  std::vector<int> costed_cols;
+  std::vector<uint64_t> costed_rows;
 
   SparseVec w;            // FTRAN scratch: B^{-1} a_j
   std::vector<double> y;  // BTRAN scratch: duals of the active cost
 
-  explicit Engine(const SimplexOptions& o) : opts(o) {}
+  Engine(const SimplexOptions& o, SolveStats* s) : opts(o), stats(*s) {}
 
   double NonbasicValue(int j) const {
     switch (status[j]) {
@@ -178,12 +224,38 @@ struct Engine {
     return 0.0;
   }
 
+  // Installs the active cost vector; the basis must already be set.
+  void SetCost(std::vector<double> c) {
+    cost = std::move(c);
+    costed_cols.clear();
+    for (int j = 0; j < ncols; ++j) {
+      if (cost[j] != 0.0) costed_cols.push_back(j);
+    }
+    costed_rows.assign((m + 63) / 64, 0);
+    for (int i = 0; i < m; ++i) MarkRow(i);
+  }
+
+  // Re-derives row i's bit after basis[i] changed.
+  void MarkRow(int i) {
+    const uint64_t bit = uint64_t{1} << (i & 63);
+    if (cost[basis[i]] != 0.0) {
+      costed_rows[i >> 6] |= bit;
+    } else {
+      costed_rows[i >> 6] &= ~bit;
+    }
+  }
+
   double ObjectiveNow() const {
     double v = 0.0;
-    for (int j = 0; j < ncols; ++j) {
+    for (const int j : costed_cols) {
       if (status[j] != VarStatus::kBasic) v += cost[j] * NonbasicValue(j);
     }
-    for (int i = 0; i < m; ++i) v += cost[basis[i]] * xb[i];
+    for (size_t word = 0; word < costed_rows.size(); ++word) {
+      for (uint64_t bits = costed_rows[word]; bits != 0; bits &= bits - 1) {
+        const int i = static_cast<int>(word * 64) + std::countr_zero(bits);
+        v += cost[basis[i]] * xb[i];
+      }
+    }
     return v;
   }
 
@@ -200,29 +272,44 @@ struct Engine {
   // Rebuilds the eta file from the current basis columns, re-assigning each
   // basic column to the unclaimed row where it pivots largest. Returns
   // false when the basis matrix is singular.
-  // Work is proportional to the factorization's fill-in, not m^2: slack
-  // columns (the bulk of a planner basis) are unit vectors and cost O(1).
+  // A singleton column (every slack and artificial) whose row is still
+  // unclaimed skips FTRAN: no eta built so far pivots on that row, so FTRAN
+  // would return the column untouched and that row is its only candidate.
+  // A unit column there adds an identity eta, which is not stored, so a
+  // refactor costs O(m) plus FTRAN of the structural (and displaced
+  // singleton) columns through each other's etas.
   bool Refactor() {
     eta.Clear();
     pivots_since_refactor = 0;
+    ++stats.refactorizations;
     const std::vector<int> order = basis;
     std::vector<char> row_used(m, 0);
     for (int p = 0; p < m; ++p) {
-      ComputeColumn(order[p]);
+      const int j = order[p];
       int prow = -1;
-      double best = opts.pivot_tol;
-      for (const int i : w.list) {
-        if (row_used[i]) continue;
-        const double a = std::abs(w.vals[i]);
-        if (a > best) {
-          best = a;
-          prow = i;
+      const int first = A.start[j];
+      if (A.start[j + 1] - first == 1 && !row_used[A.row_idx[first]]) {
+        if (std::abs(A.value[first]) > opts.pivot_tol) {
+          prow = A.row_idx[first];
+          stats.eta_nonzeros += eta.AppendSingleton(prow, A.value[first]);
         }
+      } else {
+        ComputeColumn(j);
+        double best = opts.pivot_tol;
+        for (const int i : w.list) {
+          if (row_used[i]) continue;
+          const double a = std::abs(w.vals[i]);
+          if (a > best) {
+            best = a;
+            prow = i;
+          }
+        }
+        if (prow >= 0) stats.eta_nonzeros += eta.Append(w, prow);
       }
       if (prow < 0) return false;
-      eta.Append(w, prow);
       row_used[prow] = 1;
-      basis[prow] = order[p];
+      basis[prow] = j;
+      MarkRow(prow);
     }
     return true;
   }
@@ -262,7 +349,7 @@ struct Engine {
       eta.Btran(&y);
 
       // Pricing: Dantzig (largest violation) or Bland (lowest index), with
-      // d_j = c_j - y . a_j computed per column in O(nnz).
+      // d_j = c_j - y . a_j computed per column from its CSC entries.
       int entering = -1;
       int direction = +1;
       double best_score = opts.optimality_tol;
@@ -392,9 +479,10 @@ struct Engine {
         status[leaving] =
             leaving_to_upper ? VarStatus::kAtUpper : VarStatus::kAtLower;
         basis[r] = entering;
+        MarkRow(r);
         status[entering] = VarStatus::kBasic;
         xb[r] = entering_value;
-        eta.Append(w, r);
+        stats.eta_nonzeros += eta.Append(w, r);
         if (++pivots_since_refactor >= refactor_every ||
             eta.entries() > eta_entry_cap) {
           if (!Refactor()) {
@@ -429,7 +517,7 @@ bool RevisedAttempt(const Model& model, const SimplexOptions& opts,
   const int m = model.num_rows();
   const bool maximize = model.sense() == Sense::kMaximize;
 
-  Engine eng(opts);
+  Engine eng(opts, &sol->stats);
   eng.m = m;
   eng.nstruct = nstruct;
   eng.A = BuildEqualityColumns(model, {});
@@ -545,9 +633,9 @@ bool RevisedAttempt(const Model& model, const SimplexOptions& opts,
       opts.max_iterations > 0 ? opts.max_iterations : default_iters;
 
   // ---- Phase 1 (only when artificials exist). ----
-  const std::vector<double> real_cost = eng.cost;
+  std::vector<double> real_cost = std::move(eng.cost);
   if (nart > 0) {
-    eng.cost = phase1_cost;
+    eng.SetCost(std::move(phase1_cost));
     const SolveStatus st = eng.Iterate(max_iters,
                                        &sol->stats.phase1_iterations,
                                        &sol->stats.blands_activations);
@@ -566,8 +654,8 @@ bool RevisedAttempt(const Model& model, const SimplexOptions& opts,
       eng.lo[j] = 0.0;
       eng.up[j] = 0.0;
     }
-    eng.cost = real_cost;
   }
+  eng.SetCost(std::move(real_cost));
 
   // ---- Phase 2. ----
   const SolveStatus st = eng.Iterate(max_iters,

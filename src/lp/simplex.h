@@ -1,6 +1,7 @@
 #ifndef PROSPECTOR_LP_SIMPLEX_H_
 #define PROSPECTOR_LP_SIMPLEX_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,13 @@ struct SolveStats {
   int rows = 0;         ///< constraint rows in the model
   int columns = 0;      ///< structural variables
   int artificials = 0;  ///< phase-1 artificial variables introduced
+  /// Revised engine only (0 for dense solves): basis refactorizations,
+  /// periodic and pre-optimality ones alike.
+  int refactorizations = 0;
+  /// Revised engine only: nonzeros stored in the eta file across the
+  /// solve, counting each eta's pivot and off-pivot entries. Identity
+  /// etas (unit slack or artificial pivots) are not stored and add 0.
+  int64_t eta_nonzeros = 0;
 
   int total_iterations() const { return phase1_iterations + phase2_iterations; }
 
@@ -51,6 +59,8 @@ struct SolveStats {
     rows += other.rows;
     columns += other.columns;
     artificials += other.artificials;
+    refactorizations += other.refactorizations;
+    eta_nonzeros += other.eta_nonzeros;
   }
 };
 
@@ -83,8 +93,9 @@ enum class SimplexAlgorithm {
   /// large sparse programs the planners actually emit. The choice is a
   /// pure function of the model, so pipelines stay deterministic.
   kAuto,
-  /// Sparse revised simplex: O(nnz)-per-pivot, falls back to the dense
-  /// oracle on numerical breakdown.
+  /// Sparse revised simplex: per-pivot work scales with the nonzeros and
+  /// the structural part of the basis, not with rows x columns; falls back
+  /// to the dense oracle on numerical breakdown.
   kRevised,
   /// Dense tableau: the original always-available oracle.
   kDense,
@@ -157,10 +168,15 @@ class SimplexSolver {
   Result<Solution> SolveDense(const Model& model) const;
 
   /// The sparse revised simplex: product-form factorized basis with
-  /// periodic refactorization, O(nnz)-per-pivot pricing and FTRAN/BTRAN,
-  /// same pricing / bounded-variable ratio test / Bland anti-cycling rules
-  /// as the dense engine. Numerical breakdown (a singular refactorization)
-  /// falls back to SolveDense, so the result is always well-defined.
+  /// periodic refactorization, same pricing / bounded-variable ratio test /
+  /// Bland anti-cycling rules as the dense engine. BTRAN and pricing cost
+  /// O(m + nnz) per pivot. FTRAN walks only the stored etas: those of the
+  /// structural basic columns and of the pivots since the last
+  /// refactorization (slack and artificial unit columns on their own row
+  /// store none). A refactorization costs O(m) plus one FTRAN per
+  /// structural basic column. Numerical breakdown (a singular
+  /// refactorization) falls back to SolveDense, so the result is always
+  /// well-defined.
   ///
   /// With `cross_check` set (or in a -DPROSPECTOR_LP_CROSSCHECK=ON build),
   /// the model is additionally solved dense; the two runs must agree on

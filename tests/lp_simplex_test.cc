@@ -1,6 +1,7 @@
 #include "src/lp/simplex.h"
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -293,6 +294,40 @@ TEST(SimplexTest, RevisedCrossCheckMatchesDenseOnRandomLps) {
   }
   EXPECT_GE(trials_with_phase1, 6);
   EXPECT_EQ(fallbacks->value(), fallbacks_before);
+}
+
+TEST(SimplexTest, RevisedStatsCountRefactorsAndStoredEtaNonzeros) {
+  // max x s.t. c*x <= 1, 0 <= x <= 10: x enters, the slack leaves (one
+  // basis exchange), and the pre-optimality refactorization rebuilds the
+  // one-column basis. With c = 1 both etas are identities and store
+  // nothing; with c = 2 each stores just its pivot.
+#ifdef PROSPECTOR_LP_CROSSCHECK
+  GTEST_SKIP() << "cross-check builds return the dense oracle's solution";
+#endif
+  SimplexOptions opts;
+  opts.algorithm = SimplexAlgorithm::kRevised;
+  SolveStats total;
+  for (const double c : {1.0, 2.0}) {
+    Model m;
+    m.SetSense(Sense::kMaximize);
+    const int x = m.AddVariable(0.0, 10.0, 1.0);
+    m.AddRow(RowType::kLessEqual, 1.0, {{x, c}});
+    const Solution s = MustSolve(m, opts);
+    ASSERT_EQ(s.status, SolveStatus::kOptimal);
+    EXPECT_EQ(s.values[x], 1.0 / c);
+    EXPECT_EQ(s.stats.phase2_iterations, 1) << "c=" << c;
+    EXPECT_EQ(s.stats.refactorizations, 1) << "c=" << c;
+    EXPECT_EQ(s.stats.eta_nonzeros, c == 1.0 ? 0 : 2) << "c=" << c;
+    total.Accumulate(s.stats);
+
+    SimplexOptions dense_opts;
+    dense_opts.algorithm = SimplexAlgorithm::kDense;
+    const Solution d = MustSolve(m, dense_opts);
+    EXPECT_EQ(d.stats.refactorizations, 0);
+    EXPECT_EQ(d.stats.eta_nonzeros, 0);
+  }
+  EXPECT_EQ(total.refactorizations, 2);
+  EXPECT_EQ(total.eta_nonzeros, 2);
 }
 
 TEST(SimplexTest, ValidateRejectsBadVariableIndex) {
