@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "src/core/plan_eval.h"
-#include "src/core/workspace.h"
 #include "src/obs/obs.h"
 
 namespace prospector {
@@ -24,27 +23,21 @@ Result<QueryPlan> GreedyPlanner::Plan(const PlannerContext& ctx,
   util::ThreadPool* pool = EnsureThreadPool(&pool_, options_.threads);
 
   // Candidate order: descending column sum, then node id (deterministic).
-  // Scores come off the packed hit matrix (cached across queries when a
-  // workspace is attached) — the same integers SampleSet::column_sums()
-  // maintains, so the plan is identical.
-  const auto hits_ptr = GetHitMatrix(ctx.workspace, samples);
   std::vector<int> order;
   for (int i = 0; i < n; ++i) {
     if (i != root) order.push_back(i);
   }
-  const std::vector<int>& colsum = hits_ptr->column_sums();
+  const std::vector<int>& colsum = samples.column_sums();
   std::sort(order.begin(), order.end(), [&](int a, int b) {
     if (colsum[a] != colsum[b]) return colsum[a] > colsum[b];
     return a < b;
   });
 
   // Root paths per candidate, precomputed in parallel (each entry is
-  // independent) and cached across queries when a workspace is attached;
-  // the greedy scan itself stays sequential and accumulates costs in
-  // exactly the serial order, so plans are bit-identical for any thread
-  // count and with or without the cache.
-  const auto paths_ptr = GetPathCache(ctx.workspace, topo, pool);
-  const std::vector<std::vector<int>>& paths = *paths_ptr;
+  // independent); the greedy scan itself stays sequential and accumulates
+  // costs in exactly the serial order, so plans are bit-identical for any
+  // thread count.
+  const std::vector<std::vector<int>> paths = ComputePathCache(topo, pool);
 
   std::vector<char> chosen(n, 0);
   std::vector<char> edge_used(n, 0);

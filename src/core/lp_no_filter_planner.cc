@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "src/core/plan_eval.h"
-#include "src/core/workspace.h"
 #include "src/lp/model.h"
 #include "src/obs/obs.h"
 
@@ -47,20 +46,14 @@ Result<QueryPlan> LpNoFilterPlanner::Plan(const PlannerContext& ctx,
   if (samples.num_nodes() != n) {
     return Status::InvalidArgument("sample set does not match topology size");
   }
-  // Objective weights and repair/fill ordering come off the packed hit
-  // matrix (cached across queries when a workspace is attached) — the same
-  // integers SampleSet::column_sums() maintains, so plans are identical.
-  const auto hits_ptr = GetHitMatrix(ctx.workspace, samples);
-  const std::vector<int>& colsum = hits_ptr->column_sums();
+  const std::vector<int>& colsum = samples.column_sums();
   util::ThreadPool* pool = EnsureThreadPool(&pool_, options_.threads);
 
-  // Constraint-matrix ingredients: every node's root path, cached across
-  // queries when a workspace is attached. Per-node path computations are
-  // independent, so they are produced on the pool; each node's cost sum is
-  // accumulated by one thread in path order, keeping the bits identical to
-  // the serial loop.
-  const auto paths_ptr = GetPathCache(ctx.workspace, topo, pool);
-  const std::vector<std::vector<int>>& paths = *paths_ptr;
+  // Constraint-matrix ingredients: every node's root path. Per-node path
+  // computations are independent, so they are produced on the pool; each
+  // node's cost sum is accumulated by one thread in path order, keeping the
+  // bits identical to the serial loop.
+  const std::vector<std::vector<int>> paths = ComputePathCache(topo, pool);
 
   std::vector<double> path_value_cost(n, 0.0);
   auto accumulate_costs = [&](int begin, int end) {

@@ -90,48 +90,25 @@ int PackedHitsForRow(const QueryPlan& plan, const net::Topology& topology,
 
 int SampleHitsForSample(const QueryPlan& plan, const net::Topology& topology,
                         const sampling::SampleSet& samples, int j) {
-  const int n = topology.num_nodes();
-  const int root = topology.root();
-  int hits = samples.Contributes(j, root) ? 1 : 0;
+  const int words = samples.words_per_row();
+  std::vector<uint64_t> mask;
   if (plan.kind == PlanKind::kNodeSelection) {
-    for (int i = 0; i < n; ++i) {
-      if (i == root) continue;  // already counted; root needs no plan entry
-      if (plan.chosen[i] && samples.Contributes(j, i)) ++hits;
-    }
-    return hits;
+    mask = SelectionMask(plan, topology.num_nodes(), topology.root(), words);
   }
-  std::vector<int> f(n, 0);
-  for (int u : topology.PostOrder()) {
-    if (u == root) continue;
-    int avail = samples.Contributes(j, u) ? 1 : 0;
-    for (int c : topology.children(u)) avail += f[c];
-    f[u] = std::min(plan.bandwidth[u], avail);
-  }
-  for (int c : topology.children(root)) hits += f[c];
-  return hits;
-}
-
-int SampleHitsForSample(const QueryPlan& plan, const net::Topology& topology,
-                        const HitMatrix& hits, int j) {
-  const int words = hits.words_per_row();
-  if (plan.kind == PlanKind::kNodeSelection) {
-    const std::vector<uint64_t> mask = SelectionMask(
-        plan, topology.num_nodes(), topology.root(), words);
-    return PackedHitsForRow(plan, topology, hits.row(j), mask.data(), words);
-  }
-  return BandwidthRowHits(plan, topology, hits.row(j), words);
+  return PackedHitsForRow(plan, topology, samples.row(j), mask.data(), words);
 }
 
 int SampleHits(const QueryPlan& plan, const net::Topology& topology,
-               const HitMatrix& hits, util::ThreadPool* pool) {
-  const int S = hits.num_samples();
-  const int words = hits.words_per_row();
+               const sampling::SampleSet& samples, util::ThreadPool* pool) {
+  const int S = samples.num_samples();
+  const int words = samples.words_per_row();
   std::vector<uint64_t> mask;
   if (plan.kind == PlanKind::kNodeSelection) {
     mask = SelectionMask(plan, topology.num_nodes(), topology.root(), words);
   }
   auto row_hits = [&](int j) {
-    return PackedHitsForRow(plan, topology, hits.row(j), mask.data(), words);
+    return PackedHitsForRow(plan, topology, samples.row(j), mask.data(),
+                            words);
   };
   if (pool != nullptr) {
     return pool->ParallelReduce<int>(S, 0, row_hits,
@@ -140,13 +117,6 @@ int SampleHits(const QueryPlan& plan, const net::Topology& topology,
   int total = 0;
   for (int j = 0; j < S; ++j) total += row_hits(j);
   return total;
-}
-
-int SampleHits(const QueryPlan& plan, const net::Topology& topology,
-               const sampling::SampleSet& samples, util::ThreadPool* pool) {
-  HitMatrix hits;
-  hits.Sync(samples);
-  return SampleHits(plan, topology, hits, pool);
 }
 
 AccuracyMetrics TopKAccuracy(const ExecutionResult& result,

@@ -2,6 +2,8 @@
 #define PROSPECTOR_CORE_PLAN_MANAGER_H_
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -11,7 +13,6 @@
 #include "src/core/plan.h"
 #include "src/core/plan_eval.h"
 #include "src/core/planner.h"
-#include "src/core/workspace.h"
 #include "src/net/simulator.h"
 #include "src/obs/obs.h"
 #include "src/util/thread_pool.h"
@@ -44,6 +45,33 @@ struct PlanManagerOptions {
   util::ThreadPool* pool = nullptr;
 };
 
+/// Memo of SampleHits(plan, topology, samples) for one *fixed* plan:
+/// valid while the (topology epoch, sample lineage, sample version)
+/// triple is unchanged. PlanManager keeps one for the installed plan so
+/// steady-state MaybeReplan calls stop rescoring an unchanged window.
+struct SampleHitsCache {
+  int hits = 0;
+  uint64_t topo_epoch = 0;
+  uint64_t set_id = 0;
+  uint64_t set_version = 0;
+  bool valid = false;
+
+  bool Matches(const net::Topology& topo,
+               const sampling::SampleSet& samples) const {
+    return valid && topo_epoch == topo.epoch() && set_id == samples.id() &&
+           set_version == samples.version();
+  }
+  void Store(int h, const net::Topology& topo,
+             const sampling::SampleSet& samples) {
+    hits = h;
+    topo_epoch = topo.epoch();
+    set_id = samples.id();
+    set_version = samples.version();
+    valid = true;
+  }
+  void Invalidate() { valid = false; }
+};
+
 class PlanManager {
  public:
   PlanManager(Planner* planner, PlanRequest request,
@@ -61,33 +89,26 @@ class PlanManager {
   Result<bool> MaybeReplan(const PlannerContext& ctx,
                            const sampling::SampleSet& samples,
                            net::NetworkSimulator* sim) {
-    // Steady-state short-circuit (workspace mode only): planners are
-    // deterministic, so unchanged inputs — same topology epoch, same
-    // sample window, same cost model — reproduce the previous candidate
-    // and therefore the previous decision. A repeat of either outcome is
-    // "no dissemination": an installed winner never beats itself by the
-    // improvement threshold.
-    if (ctx.workspace != nullptr && plan_.has_value() &&
-        last_decision_.Matches(*ctx.topology, samples) &&
-        last_decision_fingerprint_ ==
-            PlanningWorkspace::CostFingerprint(ctx)) {
+    // Steady-state short-circuit: planners are deterministic, so unchanged
+    // inputs — same topology epoch, same sample window, same cost model —
+    // reproduce the previous candidate and therefore the previous
+    // decision. A repeat of either outcome is "no dissemination": an
+    // installed winner never beats itself by the improvement threshold.
+    if (plan_.has_value() && last_decision_.Matches(*ctx.topology, samples) &&
+        last_decision_fingerprint_ == CostFingerprint(ctx)) {
       PROSPECTOR_COUNTER_ADD("planner.replan_short_circuits", 1);
       return false;
     }
     auto candidate = planner_->Plan(ctx, samples, request_);
     if (!candidate.ok()) return candidate.status();
-    // Candidate and installed plans are scored through the packed hit
-    // matrix (the workspace's cached copy when one is attached) — the same
-    // integers the raw window yields, so decisions are unchanged.
-    const auto hits_matrix = GetHitMatrix(ctx.workspace, samples);
     const int new_hits =
-        SampleHits(*candidate, *ctx.topology, *hits_matrix, options_.pool);
+        SampleHits(*candidate, *ctx.topology, samples, options_.pool);
     if (plan_.has_value()) {
       // The installed plan is fixed, so its score only moves when the
       // window or topology does — memoized on exactly those versions.
       if (!installed_hits_.Matches(*ctx.topology, samples)) {
         installed_hits_.Store(
-            SampleHits(*plan_, *ctx.topology, *hits_matrix, options_.pool),
+            SampleHits(*plan_, *ctx.topology, samples, options_.pool),
             *ctx.topology, samples);
         UpdatePredictedRecall(samples);
       }
@@ -163,9 +184,31 @@ class PlanManager {
 
   void RememberDecisionInputs(const PlannerContext& ctx,
                               const sampling::SampleSet& samples) {
-    if (ctx.workspace == nullptr) return;
     last_decision_.Store(0, *ctx.topology, samples);
-    last_decision_fingerprint_ = PlanningWorkspace::CostFingerprint(ctx);
+    last_decision_fingerprint_ = CostFingerprint(ctx);
+  }
+
+  /// FNV-1a digest of every cost the planners read off the context:
+  /// energy scalars plus each edge's expected failure inflation. A drifted
+  /// cost model changes it and so always forces a fresh plan.
+  static uint64_t CostFingerprint(const PlannerContext& ctx) {
+    uint64_t h = 1469598103934665603ull;  // FNV offset basis
+    auto mix = [&h](double v) {
+      unsigned char bytes[sizeof(v)];
+      std::memcpy(bytes, &v, sizeof(v));
+      for (unsigned char b : bytes) {
+        h ^= b;
+        h *= 1099511628211ull;
+      }
+    };
+    mix(ctx.energy.per_message_mj);
+    mix(ctx.energy.per_byte_mj);
+    mix(static_cast<double>(ctx.energy.bytes_per_value));
+    mix(ctx.energy.acquisition_mj);
+    mix(ctx.failures.reroute_cost_factor);
+    const int n = ctx.topology->num_nodes();
+    for (int e = 0; e < n; ++e) mix(ctx.failures.ExpectedCostFactor(e));
+    return h;
   }
 
   Planner* planner_;
@@ -175,7 +218,7 @@ class PlanManager {
   /// Memo of SampleHits(installed plan) against the current window.
   SampleHitsCache installed_hits_;
   /// (epoch, window, cost) triple of the last completed replan decision;
-  /// gates the workspace-mode short-circuit. `hits` is unused.
+  /// gates the steady-state short-circuit. `hits` is unused.
   SampleHitsCache last_decision_;
   uint64_t last_decision_fingerprint_ = 0;
   int disseminations_ = 0;
@@ -193,26 +236,19 @@ using PlannerFactory = std::function<std::unique_ptr<Planner>()>;
 /// Solves many independent planning requests — a budget or k sweep, the
 /// workload of the figure benches and of continuous re-planning at the
 /// base station. Each request plans with its own planner instance from
-/// `factory`; with a pool the requests run concurrently, and the result
-/// vector is indexed by request either way, so output is identical for
-/// any thread count.
-///
-/// When a workspace is available (the `workspace` argument, or one already
-/// on `ctx`), every request shares its topology and hit-matrix caches;
-/// those are immutable snapshots, so concurrent requests never contend.
+/// `factory`; with a pool the requests run concurrently, all reading the
+/// same const `samples`, and the result vector is indexed by request
+/// either way, so output is identical for any thread count.
 inline std::vector<Result<QueryPlan>> PlanSweep(
     const PlannerFactory& factory, const PlannerContext& ctx,
     const sampling::SampleSet& samples,
     const std::vector<PlanRequest>& requests,
-    util::ThreadPool* pool = nullptr,
-    PlanningWorkspace* workspace = nullptr) {
+    util::ThreadPool* pool = nullptr) {
   std::vector<Result<QueryPlan>> results(
       requests.size(), Result<QueryPlan>(Status::Internal("not planned")));
   auto solve_range = [&](int begin, int end) {
     for (int i = begin; i < end; ++i) {
-      PlannerContext local = ctx;
-      if (workspace != nullptr) local.workspace = workspace;
-      results[i] = factory()->Plan(local, samples, requests[i]);
+      results[i] = factory()->Plan(ctx, samples, requests[i]);
     }
   };
   const int n = static_cast<int>(requests.size());

@@ -16,19 +16,12 @@
 namespace prospector {
 namespace core {
 
-class PlanningWorkspace;
-
 /// Everything a planner may consult about the deployment. Edge costs are
 /// failure-inflated expectations (Section 4.4).
 struct PlannerContext {
   const net::Topology* topology = nullptr;
   net::EnergyModel energy;
   net::FailureModel failures;
-
-  /// Shared incremental planning state (see core/workspace.h), or nullptr
-  /// for the from-scratch seed behavior. Plans are bit-identical either
-  /// way; the workspace only changes how much work producing them takes.
-  PlanningWorkspace* workspace = nullptr;
 
   /// Expected cost of a message with `num_values` readings on `child_edge`.
   double EdgeMessageCost(int child_edge, int num_values) const {

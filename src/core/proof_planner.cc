@@ -4,7 +4,6 @@
 #include <cmath>
 #include <vector>
 
-#include "src/core/workspace.h"
 #include "src/lp/model.h"
 #include "src/obs/obs.h"
 
@@ -18,8 +17,8 @@ namespace {
 void AddProofBlock(lp::Model* model, const std::vector<int>& b,
                    const net::Topology& topo,
                    const sampling::SampleSet& samples, int j,
-                   const PlanningWorkspace::IntLists& anc,
-                   const PlanningWorkspace::IntLists& desc) {
+                   const std::vector<std::vector<int>>& anc,
+                   const std::vector<std::vector<int>>& desc) {
   const int n = topo.num_nodes();
 
   // p maps (i, ancestor-position m) -> LP variable.
@@ -125,12 +124,12 @@ Result<QueryPlan> ProofPlanner::Plan(const PlannerContext& ctx,
         " mJ (every edge must carry at least one value)");
   }
 
-  // Ancestor lists anc[i] = {i, parent(i), ..., root} and descendant
-  // lists, cached per topology epoch when a workspace is attached.
-  const auto anc_ptr = GetAncestors(ctx.workspace, topo);
-  const auto desc_ptr = GetDescendants(ctx.workspace, topo);
-  const PlanningWorkspace::IntLists& anc = *anc_ptr;
-  const PlanningWorkspace::IntLists& desc = *desc_ptr;
+  // Ancestor lists anc[i] = {i, parent(i), ..., root} and descendant lists.
+  std::vector<std::vector<int>> anc(n), desc(n);
+  for (int i = 0; i < n; ++i) {
+    anc[i] = topo.AncestorsOf(i);
+    desc[i] = topo.DescendantsOf(i);
+  }
 
   // Budget decomposition used by the budget row and the repair loop:
   // per-message costs and count-byte reserves are a constant floor; only

@@ -51,9 +51,9 @@ class Topology {
   /// Construction stamp, unique per FromParents call (copies share it —
   /// they describe the same tree). A rebuild after node failures
   /// (Section 4.4) therefore carries a new epoch, which is what
-  /// invalidates every epoch-keyed planning cache: path caches and
-  /// ancestor/descendant lists key on this value. The default-constructed
-  /// placeholder has epoch 0, which no built topology ever uses.
+  /// invalidates core::PlanManager's epoch-keyed replan memos. The
+  /// default-constructed placeholder has epoch 0, which no built topology
+  /// ever uses.
   uint64_t epoch() const { return epoch_; }
 
   int parent(int node) const { return parents_[node]; }

@@ -73,15 +73,14 @@ SampleSet SampleSet::ForQuantile(int num_nodes, double quantile,
 void SampleSet::Add(std::vector<double> values) {
   Entry e;
   e.ones = contributor_(values);
-  e.mask.assign(num_nodes_, 0);
+  e.row.assign(words_per_row(), 0);
   for (int i : e.ones) {
-    e.mask[i] = 1;
+    e.row[i >> 6] |= uint64_t{1} << (i & 63);
     ++column_sums_[i];
     ++total_ones_;
   }
   e.values = std::move(values);
-  e.stamp = NextStamp();
-  version_ = e.stamp;
+  version_ = NextStamp();
   samples_.push_back(std::move(e));
   if (window_ > 0 && samples_.size() > window_) {
     for (int i : samples_.front().ones) {

@@ -25,6 +25,13 @@ using ContributorFn =
 /// (Section 3): a sliding window of past network-wide readings plus their
 /// Boolean contribution rows and maintained column sums.
 ///
+/// Each sample keeps its row of the Boolean matrix Q twice over: as the
+/// contributor list ones(j), whose order fixes the LP column order, and as
+/// packed words, 64 nodes per word, which plan scoring reads (a popcount
+/// per word for node-selection plans, a walk over the set bits for
+/// bandwidth plans). Both are written once by Add and leave with their
+/// sample, so they always agree.
+///
 /// The paper notes that planners without proofs only need the column sums;
 /// we additionally retain raw values because PROSPECTOR Proof needs the
 /// smaller(j, i) relation, and because windowed maintenance ("expire old
@@ -71,19 +78,13 @@ class SampleSet {
   /// Monotonic modification stamp: bumped by every Add (and therefore by
   /// AddTrace), and fresh for the sets Remapped/Recent return. Stamps are
   /// drawn from one process-wide counter, so a (id(), version()) pair
-  /// uniquely identifies the contents of a window — the cache key the
-  /// planning workspace uses.
+  /// uniquely identifies the contents of a window — the key
+  /// core::PlanManager memoizes its replan decisions on.
   uint64_t version() const { return version_; }
   /// Identity of this window's lineage: the stamp the set was created
   /// with. Remapped/Recent results are new lineages; versions from one
   /// lineage mean nothing to another.
   uint64_t id() const { return created_version_; }
-  /// The stamp the Add that created sample j assigned. Stable while the
-  /// sample stays in the window (indices shift on eviction; stamps do
-  /// not), and ascending across the window, which is what lets
-  /// core::HitMatrix::Sync reconcile its rows against the window after it
-  /// slides with one stamp-merge pass.
-  uint64_t sample_stamp(int j) const { return samples_[j].stamp; }
 
   double value(int j, int i) const { return samples_[j].values[i]; }
   const std::vector<double>& sample_values(int j) const {
@@ -94,7 +95,14 @@ class SampleSet {
   /// contribution order (for top-k: descending value).
   const std::vector<int>& ones(int j) const { return samples_[j].ones; }
 
-  bool Contributes(int j, int i) const { return samples_[j].mask[i]; }
+  bool Contributes(int j, int i) const {
+    return (samples_[j].row[i >> 6] >> (i & 63)) & 1;
+  }
+
+  /// Sample j's row of Q packed 64 nodes per word: bit i of word i / 64
+  /// is set iff node i contributes. words_per_row() words long.
+  const uint64_t* row(int j) const { return samples_[j].row.data(); }
+  int words_per_row() const { return (num_nodes_ + 63) / 64; }
 
   /// Column sums of Q: how often each node contributed across the window.
   const std::vector<int>& column_sums() const { return column_sums_; }
@@ -113,8 +121,7 @@ class SampleSet {
   struct Entry {
     std::vector<double> values;
     std::vector<int> ones;
-    std::vector<char> mask;
-    uint64_t stamp = 0;
+    std::vector<uint64_t> row;  ///< ones as packed bits (see row())
   };
 
   int num_nodes_;

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/core/generalized.h"
 #include "src/core/greedy_planner.h"
 #include "src/core/lp_filter_planner.h"
+#include "src/core/plan_eval.h"
 #include "src/core/plan_manager.h"
 #include "src/data/gaussian_field.h"
 #include "src/net/simulator.h"
@@ -98,6 +103,112 @@ TEST(PlanManagerTest, AccuracyObservationControlsExploreRate) {
   EXPECT_DOUBLE_EQ(mgr.explore_probability(), 0.25);
   mgr.ObserveAccuracy(0.95);
   EXPECT_DOUBLE_EQ(mgr.explore_probability(), 0.02);
+}
+
+// A planner that records how often it actually runs — the probe for
+// PlanManager's steady-state short-circuit.
+class CountingPlanner : public Planner {
+ public:
+  Result<QueryPlan> Plan(const PlannerContext& ctx,
+                         const sampling::SampleSet& samples,
+                         const PlanRequest& request) override {
+    ++calls;
+    return inner.Plan(ctx, samples, request);
+  }
+  std::string name() const override { return "counting"; }
+
+  GreedyPlanner inner;
+  int calls = 0;
+};
+
+// A world plus a 10-sample window and a manager that has installed its
+// first plan: the starting point of every short-circuit case.
+struct SteadyState {
+  World w;
+  Rng rng;
+  sampling::SampleSet samples;
+  net::NetworkSimulator sim;
+  CountingPlanner planner;
+  PlanManager manager;
+
+  explicit SteadyState(uint64_t seed)
+      : w(seed),
+        rng(seed + 1),
+        samples(sampling::SampleSet::ForTopK(40, 5)),
+        sim(&w.topo, w.ctx.energy),
+        manager(&planner, PlanRequest{5, 8.0}) {
+    for (int s = 0; s < 10; ++s) samples.Add(w.field.Sample(&rng));
+    auto first = manager.MaybeReplan(w.ctx, samples, &sim);
+    EXPECT_TRUE(first.ok() && *first);
+    EXPECT_EQ(planner.calls, 1);
+  }
+
+  bool Replan() {
+    auto changed = manager.MaybeReplan(w.ctx, samples, &sim);
+    EXPECT_TRUE(changed.ok()) << changed.status().ToString();
+    return changed.ok() && *changed;
+  }
+};
+
+TEST(PlanManagerTest, SteadyStateReplansAreShortCircuited) {
+  SteadyState st(66);
+  // Nothing moved: the decision memo answers without planning.
+  for (int i = 0; i < 3; ++i) EXPECT_FALSE(st.Replan());
+  EXPECT_EQ(st.planner.calls, 1);
+  EXPECT_EQ(st.manager.disseminations(), 1);
+
+  // Invalidation (a heal) wipes the memo too.
+  st.manager.InvalidatePlan();
+  EXPECT_TRUE(st.Replan());
+  EXPECT_EQ(st.planner.calls, 2);
+}
+
+TEST(PlanManagerTest, NewSampleForcesReplan) {
+  SteadyState st(67);
+  st.samples.Add(st.w.field.Sample(&st.rng));  // bumps the window version
+  st.Replan();
+  EXPECT_EQ(st.planner.calls, 2);
+  st.Replan();  // ... and the new window is memoized in turn
+  EXPECT_EQ(st.planner.calls, 2);
+}
+
+TEST(PlanManagerTest, RebuiltTopologyForcesReplan) {
+  SteadyState st(68);
+  // The same parents under a new construction stamp: only the epoch moves.
+  std::vector<int> parents(st.w.topo.num_nodes());
+  for (int i = 0; i < st.w.topo.num_nodes(); ++i) {
+    parents[i] = st.w.topo.parent(i);
+  }
+  net::Topology rebuilt = net::Topology::FromParents(parents).value();
+  ASSERT_NE(rebuilt.epoch(), st.w.topo.epoch());
+  st.w.topo = std::move(rebuilt);
+  st.Replan();
+  EXPECT_EQ(st.planner.calls, 2);
+}
+
+TEST(PlanManagerTest, ChangedFailureModelForcesReplan) {
+  SteadyState st(69);
+  st.w.ctx.failures = net::FailureModel::Uniform(0.2);
+  st.Replan();
+  EXPECT_EQ(st.planner.calls, 2);
+  // Same probabilities, new reroute cost: still a different cost model.
+  st.w.ctx.failures.reroute_cost_factor = 3.0;
+  st.Replan();
+  EXPECT_EQ(st.planner.calls, 3);
+}
+
+TEST(TopKAccuracyTest, EmptyTruthYieldsVacuousRecallNotDivByZero) {
+  ExecutionResult result;  // no answers either
+  AccuracyMetrics m = TopKAccuracy(result, /*truth=*/{}, /*k=*/5);
+  EXPECT_EQ(m.recall, 1.0);
+  EXPECT_EQ(m.answered, 0);
+
+  // Answers against an empty truth: still no crash, recall stays vacuous,
+  // precision reports the all-miss.
+  result.answer.push_back(Reading{3, 1.5});
+  m = TopKAccuracy(result, /*truth=*/{}, /*k=*/5);
+  EXPECT_EQ(m.recall, 1.0);
+  EXPECT_EQ(m.precision, 0.0);
 }
 
 // ---- Generalized subset queries ----

@@ -1,12 +1,17 @@
 // Determinism contract of the parallel planning engine: any thread count
 // must produce bit-identical plans, objectives, and evaluations to the
 // single-threaded seed path — parallelism buys wall time, never different
-// answers. Plus the regression test for the old root-index assumption in
-// SampleHits (node 0 silently skipped when the root is not node 0).
+// answers. Pooled planners read one const SampleSet from every worker with
+// no lock, so these cases are also the race surface the TSan arm runs.
+// Plus SampleHits against a dense reference walk, and the regression test
+// for the old root-index assumption in SampleHits (node 0 silently skipped
+// when the root is not node 0).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/core/greedy_planner.h"
@@ -14,6 +19,7 @@
 #include "src/core/lp_no_filter_planner.h"
 #include "src/core/plan_eval.h"
 #include "src/core/plan_manager.h"
+#include "src/core/proof_planner.h"
 #include "src/data/gaussian_field.h"
 #include "src/net/topology.h"
 #include "src/util/rng.h"
@@ -149,6 +155,173 @@ TEST(ParallelPlanningTest, PlanManagerDecisionsUnchangedByPool) {
   EXPECT_EQ(*a, *b);
   ASSERT_TRUE(serial.has_plan() && parallel.has_plan());
   ExpectSamePlan(serial.plan(), parallel.plan());
+}
+
+// The slide-and-rebuild sweep: every planner, serial and pooled, across a
+// sliding window, a budget drift and a topology rebuild. Both must agree
+// bit for bit, plans and LP work alike, and so must the plans' hit counts.
+TEST(ParallelPlanningTest, AllPlannersBitIdenticalAcrossSlidesAndRebuilds) {
+  util::ThreadPool score_pool(4);
+  for (int which = 0; which < 4; ++which) {
+    Rng rng(90 + which);
+    net::GeometricNetworkOptions geo;
+    geo.num_nodes = 36;
+    geo.radio_range = 25.0;
+    net::Topology topology =
+        net::BuildConnectedGeometricNetwork(geo, &rng).value();
+    data::GaussianField field =
+        data::GaussianField::Random(36, 40, 60, 1, 16, &rng);
+    Rng sample_rng((90 + which) ^ 0xabcdef);
+    sampling::SampleSet samples =
+        sampling::SampleSet::ForTopK(36, 6, /*window=*/10);
+    for (int s = 0; s < 10; ++s) samples.Add(field.Sample(&sample_rng));
+    PlannerContext ctx;
+    ctx.topology = &topology;
+
+    auto make = [which](int threads) -> std::unique_ptr<Planner> {
+      LpPlannerOptions lp;
+      lp.threads = threads;
+      switch (which) {
+        case 0:
+          return std::make_unique<GreedyPlanner>(GreedyPlannerOptions{threads});
+        case 1:
+          return std::make_unique<LpNoFilterPlanner>(lp);
+        case 2:
+          return std::make_unique<LpFilterPlanner>(lp);
+        default:
+          return std::make_unique<ProofPlanner>(lp);
+      }
+    };
+    auto serial = make(1);
+    auto pooled = make(4);
+
+    // Proof plans need the per-edge floor covered; the others get a mid
+    // budget so rounding and repair paths all engage.
+    auto base_budget = [&] {
+      return which == 3 ? ProofPlanner::MinimumCost(ctx) * 1.6 : 9.0;
+    };
+    PlanRequest request{6, base_budget()};
+
+    auto plan_both = [&](const std::string& where) {
+      auto a = serial->Plan(ctx, samples, request);
+      auto b = pooled->Plan(ctx, samples, request);
+      const std::string label = where + ", planner " + serial->name();
+      ASSERT_TRUE(a.ok()) << label << ": " << a.status().ToString();
+      ASSERT_TRUE(b.ok()) << label << ": " << b.status().ToString();
+      EXPECT_EQ(a->kind, b->kind) << label;
+      EXPECT_EQ(a->bandwidth, b->bandwidth) << label;
+      EXPECT_EQ(a->chosen, b->chosen) << label;
+      const lp::SolveStats& sa = serial->last_stats().lp;
+      const lp::SolveStats& sb = pooled->last_stats().lp;
+      EXPECT_EQ(sa.phase1_iterations, sb.phase1_iterations) << label;
+      EXPECT_EQ(sa.phase2_iterations, sb.phase2_iterations) << label;
+      EXPECT_EQ(sa.rows, sb.rows) << label;
+      EXPECT_EQ(sa.columns, sb.columns) << label;
+      EXPECT_EQ(SampleHits(*a, topology, samples, &score_pool),
+                SampleHits(*a, topology, samples))
+          << label;
+    };
+
+    plan_both("cold");
+    // Slide the window: three appends (evicting three rows) per step.
+    for (int step = 0; step < 3; ++step) {
+      for (int add = 0; add < 3; ++add) samples.Add(field.Sample(&sample_rng));
+      plan_both("slide step " + std::to_string(step));
+    }
+    request.energy_budget_mj *= 1.25;
+    plan_both("budget drift");
+
+    Rng rebuild_rng(1234 + which);
+    geo.radio_range = 28.0;
+    net::Topology rebuilt =
+        net::BuildConnectedGeometricNetwork(geo, &rebuild_rng).value();
+    EXPECT_NE(rebuilt.epoch(), topology.epoch());
+    topology = std::move(rebuilt);
+    request.energy_budget_mj = base_budget();
+    plan_both("after rebuild");
+    plan_both("steady state on rebuilt tree");
+  }
+}
+
+// The dense reference for SampleHits: the recurrence
+// f(u) = min(bandwidth[u], [u contributes] + sum_children f(c)) over every
+// node in post-order, reading contributions one at a time.
+int DenseHitsForSample(const QueryPlan& plan, const net::Topology& topology,
+                       const sampling::SampleSet& samples, int j) {
+  const int n = topology.num_nodes();
+  const int root = topology.root();
+  int hits = samples.Contributes(j, root) ? 1 : 0;
+  if (plan.kind == PlanKind::kNodeSelection) {
+    for (int i = 0; i < n; ++i) {
+      if (i != root && plan.chosen[i] && samples.Contributes(j, i)) ++hits;
+    }
+    return hits;
+  }
+  std::vector<int> f(n, 0);
+  for (int u : topology.PostOrder()) {
+    if (u == root) continue;
+    int avail = samples.Contributes(j, u) ? 1 : 0;
+    for (int c : topology.children(u)) avail += f[c];
+    f[u] = std::min(plan.bandwidth[u], avail);
+  }
+  for (int c : topology.children(root)) hits += f[c];
+  return hits;
+}
+
+TEST(SampleHitsTest, PackedMatchesDenseWalkForBothPlanKinds) {
+  util::ThreadPool pool(3);
+  for (int n : {65, 90, 130}) {
+    Rng rng(0xabc + n);
+    net::GeometricNetworkOptions geo;
+    geo.num_nodes = n;
+    geo.radio_range = 25.0;
+    net::Topology topo = net::BuildConnectedGeometricNetwork(geo, &rng).value();
+    data::GaussianField field =
+        data::GaussianField::Random(n, 40, 60, 1, 16, &rng);
+    sampling::SampleSet topk = sampling::SampleSet::ForTopK(n, 6);
+    sampling::SampleSet selection = sampling::SampleSet::ForSelection(n, 58.0);
+    for (int s = 0; s < 70; ++s) {
+      const std::vector<double> values = field.Sample(&rng);
+      topk.Add(values);
+      selection.Add(values);
+    }
+
+    Rng plan_rng(0x9 + n);
+    // Node-selection plan: a random half of the nodes.
+    std::vector<char> chosen(n, 0);
+    for (int i = 0; i < n; ++i) {
+      chosen[i] = static_cast<char>(plan_rng.UniformInt(0, 1));
+    }
+    QueryPlan node_selection =
+        QueryPlan::NodeSelection(6, std::move(chosen), topo);
+    node_selection.Normalize(topo);
+    // Bandwidth plan: random small per-edge budgets (including zeros, which
+    // prune whole subtrees in the packed recurrence).
+    std::vector<int> bw(n, 0);
+    for (int i = 0; i < n; ++i) {
+      bw[i] = static_cast<int>(plan_rng.UniformInt(0, 3));
+    }
+    QueryPlan bandwidth = QueryPlan::Bandwidth(6, std::move(bw));
+    bandwidth.Normalize(topo);
+
+    for (const sampling::SampleSet* samples : {&topk, &selection}) {
+      for (const QueryPlan* plan : {&node_selection, &bandwidth}) {
+        const std::string where = "n=" + std::to_string(n) +
+                                  (samples == &topk ? " top-k" : " selection") +
+                                  (plan == &bandwidth ? " bandwidth" : " nodes");
+        int dense_total = 0;
+        for (int j = 0; j < samples->num_samples(); ++j) {
+          const int dense = DenseHitsForSample(*plan, topo, *samples, j);
+          EXPECT_EQ(SampleHitsForSample(*plan, topo, *samples, j), dense)
+              << where << " j=" << j;
+          dense_total += dense;
+        }
+        EXPECT_EQ(SampleHits(*plan, topo, *samples), dense_total) << where;
+        EXPECT_EQ(SampleHits(*plan, topo, *samples, &pool), dense_total)
+            << where;
+      }
+    }
+  }
 }
 
 // ---- Regression: the root must be skipped by id, not by assuming id 0 ----

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <memory>
+#include <string>
 
 #include "src/core/executor.h"
 #include "src/core/greedy_planner.h"
@@ -250,6 +253,94 @@ struct PivotPathFixture {
     ctx.topology = &topo;
   }
 };
+
+// The acceptance gate for the revised simplex engine: every planner run
+// with the dense oracle forced and with the revised engine forced (per
+// solve cross-check on, so any status/objective divergence aborts inside
+// the solver) must reach the same LP objective. In a
+// -DPROSPECTOR_LP_CROSSCHECK=ON build, where every revised solve returns
+// the dense oracle's solution, the plans themselves are bit-identical —
+// a degenerate LP cannot round an alternate vertex into a different plan.
+TEST(LpPlannersTest, PlansAgreeAcrossSimplexEnginesUnderCrossCheck) {
+  for (int which = 0; which < 4; ++which) {
+    // Tree and field from one stream, the 12-sample window from another.
+    Rng rng(400 + which);
+    net::GeometricNetworkOptions geo;
+    geo.num_nodes = 40;
+    geo.radio_range = 25.0;
+    Instance inst{net::BuildConnectedGeometricNetwork(geo, &rng).value(),
+                  data::GaussianField(), sampling::SampleSet::ForTopK(40, 6),
+                  PlannerContext{}};
+    inst.field = data::GaussianField::Random(40, 40, 60, 1, 16, &rng);
+    Rng sample_rng((400 + which) ^ 0xabcdef);
+    for (int s = 0; s < 12; ++s) {
+      inst.samples.Add(inst.field.Sample(&sample_rng));
+    }
+    inst.ctx.topology = &inst.topology;
+
+    lp::SimplexOptions dense_opts;
+    dense_opts.algorithm = lp::SimplexAlgorithm::kDense;
+    lp::SimplexOptions revised_opts;
+    revised_opts.algorithm = lp::SimplexAlgorithm::kRevised;
+    revised_opts.cross_check = true;
+
+    auto make = [which](lp::SimplexOptions simplex) -> std::unique_ptr<Planner> {
+      LpPlannerOptions lp;
+      lp.simplex = simplex;
+      switch (which) {
+        case 0:
+          return std::make_unique<GreedyPlanner>();
+        case 1:
+          return std::make_unique<LpNoFilterPlanner>(lp);
+        case 2:
+          return std::make_unique<LpFilterPlanner>(lp);
+        default:
+          return std::make_unique<ProofPlanner>(lp);
+      }
+    };
+    auto last_objective = [which](Planner* planner) {
+      switch (which) {
+        case 1:
+          return static_cast<LpNoFilterPlanner*>(planner)->last_lp_objective();
+        case 2:
+          return static_cast<LpFilterPlanner*>(planner)->last_lp_objective();
+        default:
+          return static_cast<ProofPlanner*>(planner)->last_lp_objective();
+      }
+    };
+    auto dense_planner = make(dense_opts);
+    auto revised_planner = make(revised_opts);
+
+    const double budget =
+        which == 3 ? ProofPlanner::MinimumCost(inst.ctx) * 1.6 : 9.0;
+    PlanRequest request{6, budget};
+
+    auto dense_plan = dense_planner->Plan(inst.ctx, inst.samples, request);
+    auto revised_plan = revised_planner->Plan(inst.ctx, inst.samples, request);
+    ASSERT_TRUE(dense_plan.ok()) << dense_plan.status().ToString();
+    ASSERT_TRUE(revised_plan.ok()) << revised_plan.status().ToString();
+
+    const std::string where = "planner " + std::string(dense_planner->name());
+    auto expect_same_plan = [&] {
+      EXPECT_EQ(dense_plan->kind, revised_plan->kind) << where;
+      EXPECT_EQ(dense_plan->k, revised_plan->k) << where;
+      EXPECT_EQ(dense_plan->bandwidth, revised_plan->bandwidth) << where;
+      EXPECT_EQ(dense_plan->chosen, revised_plan->chosen) << where;
+    };
+    if (which == 0) {
+      // No LP in greedy: engine choice cannot matter.
+      expect_same_plan();
+      continue;
+    }
+    const double dense_obj = last_objective(dense_planner.get());
+    const double revised_obj = last_objective(revised_planner.get());
+    EXPECT_NEAR(revised_obj, dense_obj, 1e-6 * (1.0 + std::abs(dense_obj)))
+        << where;
+#ifdef PROSPECTOR_LP_CROSSCHECK
+    expect_same_plan();
+#endif
+  }
+}
 
 // FNV-1a over the little-endian bytes of each bandwidth.
 uint64_t BandwidthDigest(const QueryPlan& plan) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "src/net/simulator.h"
 #include "src/net/topology.h"
 #include "src/sampling/collector.h"
@@ -116,13 +120,120 @@ TEST(SampleSetTest, VersionBumpsOnEveryAddAndStampsStayStable) {
   s.Add({4, 3, 2, 1});
   EXPECT_GT(s.version(), v1);
 
-  // Stamps identify samples across window slides: indices shift, stamps
-  // follow their row.
-  const uint64_t stamp_second = s.sample_stamp(1);
+  // The lineage stamp stays put while the window slides; only the version
+  // moves.
   s.Add({5, 6, 7, 8});
   s.Add({8, 7, 6, 5});  // evicts the first row
   EXPECT_EQ(s.num_samples(), 3);
-  EXPECT_EQ(s.sample_stamp(0), stamp_second);
+  EXPECT_EQ(s.id(), v0);
+
+  // Derived windows start lineages of their own, stamped after everything
+  // the source drew.
+  const SampleSet tail = s.Recent(2);
+  EXPECT_GT(tail.id(), s.version());
+  const SampleSet same_ids = s.Remapped({0, 1, 2, 3}, 4);
+  EXPECT_GT(same_ids.id(), tail.version());
+}
+
+// The packed row, the contributor list and Contributes() are three views
+// of one row of Q and must agree bit for bit, with the padding bits past
+// the last node clear; the maintained column sums and total must equal a
+// recount of the window.
+void ExpectPackedRowsExact(const SampleSet& s, const std::string& where) {
+  const int n = s.num_nodes();
+  const int words = s.words_per_row();
+  ASSERT_EQ(words, (n + 63) / 64) << where;
+  std::vector<int> sums(n, 0);
+  int total = 0;
+  for (int j = 0; j < s.num_samples(); ++j) {
+    std::vector<char> in_ones(n, 0);
+    for (int i : s.ones(j)) {
+      in_ones[i] = 1;
+      ++sums[i];
+      ++total;
+    }
+    const uint64_t* row = s.row(j);
+    for (int i = 0; i < n; ++i) {
+      const bool bit = (row[i >> 6] >> (i & 63)) & 1;
+      ASSERT_EQ(bit, in_ones[i] != 0) << where << " j=" << j << " i=" << i;
+      ASSERT_EQ(s.Contributes(j, i), bit) << where << " j=" << j << " i=" << i;
+    }
+    if (n % 64 != 0) {
+      EXPECT_EQ(row[words - 1] >> (n % 64), 0u) << where << " j=" << j;
+    }
+  }
+  EXPECT_EQ(s.column_sums(), sums) << where;
+  EXPECT_EQ(s.total_ones(), total) << where;
+}
+
+std::vector<double> RandomReading(int n, Rng* rng) {
+  std::vector<double> values(n);
+  for (double& v : values) v = rng->Uniform(0.0, 100.0);
+  return values;
+}
+
+// Node counts below, at and just past the 64-bit word boundary.
+constexpr int kWordBoundaryNodeCounts[] = {1, 63, 64, 65, 130};
+
+TEST(SampleSetTest, PackedRowsMatchOnesAtWordBoundarySizes) {
+  for (int n : kWordBoundaryNodeCounts) {
+    for (int count : {1, 63, 65}) {
+      Rng rng(0x5eed + n * 131 + count);
+      SampleSet topk = SampleSet::ForTopK(n, std::min(n, 4));
+      SampleSet selection = SampleSet::ForSelection(n, 80.0);
+      for (int t = 0; t < count; ++t) {
+        const std::vector<double> values = RandomReading(n, &rng);
+        topk.Add(values);
+        selection.Add(values);
+      }
+      const std::string where =
+          "n=" + std::to_string(n) + " samples=" + std::to_string(count);
+      ExpectPackedRowsExact(topk, "top-k " + where);
+      ExpectPackedRowsExact(selection, "selection " + where);
+    }
+  }
+}
+
+TEST(SampleSetTest, PackedRowsStayExactAcrossWindowSlides) {
+  for (int n : kWordBoundaryNodeCounts) {
+    Rng rng(0xbeef + n);
+    SampleSet s = SampleSet::ForSelection(n, 70.0, /*window=*/8);
+    ExpectPackedRowsExact(s, "empty n=" + std::to_string(n));
+    // Grow into the window, then slide it far past its size: rows leave
+    // with their samples and the survivors keep their bits.
+    for (int step = 0; step < 40; ++step) {
+      s.Add(RandomReading(n, &rng));
+      ExpectPackedRowsExact(
+          s, "n=" + std::to_string(n) + " step=" + std::to_string(step));
+    }
+    EXPECT_EQ(s.num_samples(), 8);
+  }
+}
+
+TEST(SampleSetTest, PackedRowsExactAfterRemapAndRecent) {
+  for (int n : kWordBoundaryNodeCounts) {
+    Rng rng(0xfeed + n);
+    SampleSet s = SampleSet::ForTopK(n, std::min(n, 4), /*window=*/20);
+    for (int t = 0; t < 30; ++t) s.Add(RandomReading(n, &rng));
+    const std::string where = "n=" + std::to_string(n);
+
+    ExpectPackedRowsExact(s.Recent(7), "recent " + where);
+
+    // A rebuild: ids reversed and, past one node, the middle node dropped.
+    const int dropped = n > 1 ? n / 2 : -1;
+    std::vector<int> new_id(n, -1);
+    int next = n > 1 ? n - 2 : 0;
+    for (int i = 0; i < n; ++i) {
+      if (i != dropped) new_id[i] = next--;
+    }
+    const int new_n = n > 1 ? n - 1 : 1;
+    SampleSet remapped = s.Remapped(new_id, new_n);
+    ASSERT_EQ(remapped.num_samples(), s.num_samples()) << where;
+    ExpectPackedRowsExact(remapped, "remapped " + where);
+    // The remapped window keeps sliding exactly.
+    for (int t = 0; t < 5; ++t) remapped.Add(RandomReading(new_n, &rng));
+    ExpectPackedRowsExact(remapped, "remapped+slid " + where);
+  }
 }
 
 TEST(SampleSetTest, RemappedQuantileRecomputesContributorsAfterEviction) {
