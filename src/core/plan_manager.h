@@ -45,33 +45,6 @@ struct PlanManagerOptions {
   util::ThreadPool* pool = nullptr;
 };
 
-/// Memo of SampleHits(plan, topology, samples) for one *fixed* plan:
-/// valid while the (topology epoch, sample lineage, sample version)
-/// triple is unchanged. PlanManager keeps one for the installed plan so
-/// steady-state MaybeReplan calls stop rescoring an unchanged window.
-struct SampleHitsCache {
-  int hits = 0;
-  uint64_t topo_epoch = 0;
-  uint64_t set_id = 0;
-  uint64_t set_version = 0;
-  bool valid = false;
-
-  bool Matches(const net::Topology& topo,
-               const sampling::SampleSet& samples) const {
-    return valid && topo_epoch == topo.epoch() && set_id == samples.id() &&
-           set_version == samples.version();
-  }
-  void Store(int h, const net::Topology& topo,
-             const sampling::SampleSet& samples) {
-    hits = h;
-    topo_epoch = topo.epoch();
-    set_id = samples.id();
-    set_version = samples.version();
-    valid = true;
-  }
-  void Invalidate() { valid = false; }
-};
-
 class PlanManager {
  public:
   PlanManager(Planner* planner, PlanRequest request,
@@ -173,6 +146,33 @@ class PlanManager {
   const PlanRequest& request() const { return request_; }
 
  private:
+  /// Memo of SampleHits(plan, topology, samples) for one *fixed* plan:
+  /// valid while the (topology epoch, sample lineage, sample version)
+  /// triple is unchanged. PlanManager keeps one for the installed plan so
+  /// steady-state MaybeReplan calls stop rescoring an unchanged window.
+  struct SampleHitsCache {
+    int hits = 0;
+    uint64_t topo_epoch = 0;
+    uint64_t set_id = 0;
+    uint64_t set_version = 0;
+    bool valid = false;
+
+    bool Matches(const net::Topology& topo,
+                 const sampling::SampleSet& samples) const {
+      return valid && topo_epoch == topo.epoch() && set_id == samples.id() &&
+             set_version == samples.version();
+    }
+    void Store(int h, const net::Topology& topo,
+               const sampling::SampleSet& samples) {
+      hits = h;
+      topo_epoch = topo.epoch();
+      set_id = samples.id();
+      set_version = samples.version();
+      valid = true;
+    }
+    void Invalidate() { valid = false; }
+  };
+
   void UpdatePredictedRecall(const sampling::SampleSet& samples) {
     const double denom = static_cast<double>(request_.k) *
                          static_cast<double>(samples.num_samples());
